@@ -199,7 +199,10 @@ let on_reply s (p : pend) body t =
   | Check.Failed m ->
       st.failures <- st.failures + 1;
       if st.failures <= 3 then prerr_endline ("nebench: failed request: " ^ m)
-  | Check.Wrong _ -> st.wrongs <- st.wrongs + 1
+  | Check.Wrong m ->
+      (* One wrong answer fails the run; measuring on is pointless. *)
+      st.wrongs <- st.wrongs + 1;
+      if s.broken = None then s.broken <- Some ("wrong answer: " ^ m)
 
 let receive s =
   let chunk = Bytes.create 65536 in
@@ -330,9 +333,10 @@ let settle s st ~grace =
     Mutex.lock s.m
   done;
   let left = outstanding s in
-  if left > 0 then begin
+  (* counted once: after a break the same requests stay outstanding *)
+  if left > 0 && s.broken = None then begin
     st.failures <- st.failures + left;
-    if s.broken = None then s.broken <- Some (Printf.sprintf "%d requests unanswered" left)
+    s.broken <- Some (Printf.sprintf "%d requests unanswered" left)
   end;
   Mutex.unlock s.m
 

@@ -91,7 +91,9 @@ type result = {
   cpu_ms_per_req : float;
   peak_rss_mb : float;
   sent : int;  (** every request sent, all phases *)
-  failed : int;  (** errors + timeouts + sheds + wrong answers, throughput and nominal phases *)
+  failed : int;
+      (** errors + timeouts + sheds in the throughput and nominal phases,
+          plus every wrong answer *)
   counted : int;  (** requests sent in the throughput and nominal phases *)
   accept_ratio : float;
   wrong : int;
@@ -203,7 +205,7 @@ let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin 
   C.stop srv;
   let q r x = C.quantile (C.sorted r.nom.C.lat_ms) x in
   let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-  let failed_of (st : C.stats) = st.C.failures + st.C.sheds + st.C.wrongs in
+  let failed_of (st : C.stats) = st.C.failures + st.C.sheds in
   let throughput_rps = median_of (fun r -> r.thr) rs in
   {
     setup_s = C.median !setups;
@@ -224,7 +226,7 @@ let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin 
     cpu_ms_per_req = median_of (fun r -> r.cpu_s *. 1000.0 /. float_of_int (max 1 r.nom.C.answered)) rs;
     peak_rss_mb;
     sent = List.fold_left (fun a (st : C.stats) -> a + st.C.sent) !probe_sent !all;
-    failed = sum (fun r -> failed_of r.thr_st + failed_of r.nom);
+    failed = sum (fun r -> failed_of r.thr_st + failed_of r.nom) + checker.Check.wrong;
     counted = sum (fun r -> r.thr_st.C.sent + r.nom.C.sent);
     accept_ratio =
       float_of_int (sum (fun r -> r.nom.C.placed)) /. float_of_int (max 1 (sum (fun r -> r.nom.C.placements)));

@@ -58,6 +58,9 @@ let () =
   let host_graph = Netembed_graphml.Graphml.read_file !host in
   let w = W.make kind ~seed:!seed ~host:host_graph in
   at_exit Client.kill_all;
+  (* A server that dies mid-run breaks the session with EPIPE rather
+     than killing the runner. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* A stopped benchmark takes its servers down with it. *)
   List.iter
     (fun signal -> Sys.set_signal signal (Sys.Signal_handle (fun _ -> exit 3)))
