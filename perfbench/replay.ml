@@ -4,12 +4,12 @@
    through the calls the server's handler makes —
    Wire.decode_command -> Service.submit -> Service.allocate_shared /
    Service.free -> Wire.encode_answer — with a span around each call.
-   Outside those spans, on the same inputs and ledger state, sampled
-   probe calls time the sub-layers: Ledger.admissible,
-   Model.residual_snapshot, Problem.make, Filter.build and Engine.run
-   with explain off and on over the same problem and filter.  The same
-   items are then replayed once more without spans, on a fresh service
-   in the same state, for the tracing overhead.
+   Outside those spans, on the same inputs and ledger state, probe
+   calls on every other block of the mix time the sub-layers:
+   Ledger.admissible, Model.residual_snapshot, Problem.make,
+   Filter.build and Engine.run with explain off and on over the same
+   problem and filter.  The same items are then replayed once more
+   without spans, from the same state, for the tracing overhead.
 
    A short end-to-end run against the real server comes first, for the
    metrics that need the wire: loadgen.late_ms, frontend.overhead_ms and
