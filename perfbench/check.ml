@@ -314,6 +314,19 @@ let reply t (item : Workload.item) ~allocation body =
 
 (* After the churn drain: every resource must read used=0, and the
    shadow must agree that nothing is held. *)
+(* The tenant bookkeeping of the ALLOC/FREE protocol, shared by the TCP
+   client and the in-process replay: [tenants] maps every tenant whose
+   ALLOC was answered to its committed allocation id (None when nothing
+   was placed), [live] the tenants holding an allocation. *)
+let track ~tenants ~live (item : Workload.item) verdict =
+  match (item, verdict) with
+  | Workload.Send { tenant = Some i; _ }, Answer { allocation = Some id; _ } ->
+      Hashtbl.replace tenants i (Some id);
+      Hashtbl.replace live i id
+  | Workload.Send { tenant = Some i; _ }, _ -> Hashtbl.replace tenants i None
+  | Workload.Free i, _ -> Hashtbl.remove live i
+  | Workload.Send { tenant = None; _ }, _ -> ()
+
 let check_drained t body =
   match Wire.decode_utilization body with
   | Error m ->

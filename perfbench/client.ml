@@ -177,13 +177,7 @@ let on_reply s (p : pend) body t =
   st.last_reply <- Float.max st.last_reply t;
   st.lat_ms <- ((t -. p.due) *. 1000.0) :: st.lat_ms;
   let v = Check.reply s.checker p.item ~allocation:p.alloc body in
-  (match (p.item, v) with
-  | W.Send { tenant = Some i; _ }, Check.Answer { allocation = Some id; _ } ->
-      Hashtbl.replace s.tenants i (Some id);
-      Hashtbl.replace s.live i id
-  | W.Send { tenant = Some i; _ }, _ -> Hashtbl.replace s.tenants i None
-  | W.Free i, _ -> Hashtbl.remove s.live i
-  | W.Send { tenant = None; _ }, _ -> ());
+  Check.track ~tenants:s.tenants ~live:s.live p.item v;
   match v with
   | Check.Answer { placed; _ } -> (
       match p.item with
@@ -340,15 +334,17 @@ let settle s st ~grace =
   end;
   Mutex.unlock s.m
 
-(* Open loop over the next [count] stream items: item [i] is due at
-   [t0 + i / rate]. *)
-let open_loop s ~rate ~count ~grace =
+(* Open loop over the next [count] stream items.  Item [i] is due at
+   [t0 + i / rate], or, given [gaps] (inter-arrival times of mean 1),
+   at [t0 + (gaps.(0) + ... + gaps.(i-1)) / rate]. *)
+let open_loop ?gaps s ~rate ~count ~grace =
   let st = new_stats () in
   let t0 = now () +. 0.005 in
   let n = Array.length s.conns in
-  let i = ref 0 in
+  let i = ref 0 and at = ref 0.0 in
   while !i < count && s.broken = None do
-    let due = t0 +. (float_of_int !i /. rate) in
+    let due = t0 +. (!at /. rate) in
+    (at := !at +. match gaps with Some g -> g.(!i mod Array.length g) | None -> 1.0);
     let dt = due -. now () in
     if dt > 0.0 then Unix.sleepf dt;
     send s st ~ci:(!i mod n) ~due (next_item s);

@@ -6,10 +6,10 @@
       the median time from spawn to its first answered frame;
    2. warm-up (closed loop, untimed): caches fill, churn reaches its
       steady tenant population;
-   3. [rounds] rounds of: a closed-loop throughput window, one step of
-      the knee bisection (an open-loop probe at a fraction of that
-      window's throughput), and an open-loop window at the workload's
-      fixed nominal rate (p50/p90, server CPU per request);
+   3. [rounds] rounds of: a closed-loop throughput window, an open-loop
+      window at the workload's fixed nominal rate (p50/p90, server CPU
+      per request), and knee probes (Poisson arrivals at fractions of
+      the throughput so far);
    4. churn only: drain every live tenant, then UTIL must read used=0.
 
    Every phase covers whole blocks of the workload's mix. *)
@@ -21,15 +21,23 @@ type params = {
   conns : int;
   window : int;  (** closed-loop requests outstanding per connection *)
   nominal_rps : float;
-  limit_ms : float;  (** p90 latency limit of the knee *)
 }
 
-(* Nominal rates and limits come from seed measurements on a 2-core
-   box (see README.md). *)
+(* Nominal rates come from seed measurements on a 2-core box (see
+   README.md): churn and hard at about a quarter of their throughput,
+   where a request rarely waits for the one before it, so that a slower
+   machine raises the latency at the nominal rate by about its own
+   slowdown rather than by a queue. *)
 let params = function
-  | W.Churn -> { conns = 1; window = 4; nominal_rps = 10.0; limit_ms = 450.0 }
-  | W.Hard -> { conns = 2; window = 2; nominal_rps = 7.0; limit_ms = 540.0 }
-  | W.Tiny -> { conns = 2; window = 8; nominal_rps = 150.0; limit_ms = 10.0 }
+  | W.Churn -> { conns = 1; window = 4; nominal_rps = 5.0 }
+  | W.Hard -> { conns = 2; window = 2; nominal_rps = 4.0 }
+  | W.Tiny -> { conns = 2; window = 8; nominal_rps = 150.0 }
+
+(* The knee's latency limit: a probe's p90 may be at most this many
+   times the p90 at the nominal rate.  Both are measured in the same
+   run, so the limit follows the machine's speed and the knee marks
+   where queueing, not per-request cost, takes over. *)
+let limit_factor = 2.0
 
 let setup_spawns = 5
 
@@ -64,22 +72,60 @@ let first_answer ~server_bin ~host_file ~log =
   if not (Check.starts_with "OK" reply) then failwith ("first frame: " ^ reply);
   (srv, dt)
 
-type knee = { knee_rps : float; probes : (float * bool * float) list; probe_sent : int; probe_sheds : int }
+type probe = { rate : float; fraction : float; p90 : float; limit : float; backlog : bool; pass : bool }
 
-let probe_passes p (st : C.stats) =
-  let lat = C.sorted st.C.lat_ms in
-  let recent =
-    (* lat_ms is newest-first: the later half of the probe *)
-    let n = List.length st.C.lat_ms in
-    C.sorted (List.filteri (fun i _ -> i < n / 2) st.C.lat_ms)
+type knee = { knee_rps : float; probes : probe list; probe_sent : int; probe_sheds : int }
+
+(* The knee from the probes, in req/s, anchored on the highest-rate
+   probe that passed (a slow stretch that fails a lower probe does not
+   move it): from there to the next probe up, which failed, where the
+   p90 reaches the limit (log-linear in p90; the middle of the two
+   rates when that probe failed on backlog or errors with its p90 in
+   the limit).  When the top probe passed, the line through it and
+   the one below extended to the limit, at most [ceiling]; when none
+   passed, the lowest probe's rate scaled down by its p90 excess. *)
+let knee_of ~ceiling probes =
+  let x p = log (p.p90 /. p.limit) in
+  let at_limit a b = a.rate +. ((b.rate -. a.rate) *. -.x a /. (x b -. x a)) in
+  let sorted = List.sort (fun a b -> compare a.rate b.rate) probes in
+  (* (highest passing probe, the probe below it, the probe above it) *)
+  let rec top below = function
+    | a :: rest when a.pass -> (
+        match top (Some a) rest with
+        | None -> Some (a, below, List.nth_opt rest 0)
+        | found -> found)
+    | a :: rest -> top (Some a) rest
+    | [] -> None
   in
-  let p90 = C.quantile lat 0.9 in
-  ( st.C.failures = 0 && st.C.sheds = 0 && st.C.wrongs = 0 && st.C.answered = st.C.sent
-    && p90 <= p.limit_ms
-    && C.quantile recent 0.9 <= p.limit_ms,
-    p90 )
+  match top None sorted with
+  | Some (a, _, Some b) -> if x b > 0.0 then at_limit a b else (a.rate +. b.rate) /. 2.0
+  | Some (a, Some z, None) when x a > x z -> Float.min ceiling (at_limit z a)
+  | Some _ -> ceiling
+  | None -> (
+      match sorted with p :: _ -> p.rate *. Float.min 1.0 (exp (-.x p)) | [] -> ceiling)
+
+(* A probe passes when every request is answered, none shed, and the
+   p90 meets [limit] over the whole probe and over its later half: a
+   backlog that grows through the probe fails it even when the early
+   replies pull the whole probe's p90 under the limit. *)
+let judge ~rate ~fraction ~limit (st : C.stats) =
+  let p90 = C.quantile (C.sorted st.C.lat_ms) 0.9 in
+  (* lat_ms is newest first *)
+  let n = List.length st.C.lat_ms in
+  let later = C.quantile (C.sorted (List.filteri (fun i _ -> i < n / 2) st.C.lat_ms)) 0.9 in
+  let backlog = later > limit in
+  let clean = st.C.failures = 0 && st.C.sheds = 0 && st.C.wrongs = 0 && st.C.answered = st.C.sent in
+  { rate; fraction; p90; limit; backlog; pass = clean && p90 <= limit && not backlog }
+
+(* One round: a closed-loop throughput window, a nominal-rate window,
+   then this round's knee probes, if any.  Rounds are spread
+   over the run and the run reports medians or pooled percentiles over
+   them, so a slow stretch of a shared machine that covers one round
+   moves the result little. *)
+type round = { thr : float; thr_st : C.stats; nom : C.stats; cpu_s : float }
 
 type result = {
+  rounds : round list;  (** oldest first *)
   setup_s : float;
   throughput_rps : float;
   thr_n : int;
@@ -104,36 +150,26 @@ type result = {
 type budget = {
   rounds : int;
   thr_s : float;  (** closed-loop seconds, all rounds together *)
-  knee_steps : int;
-  probe_s : float;
+  knee_fractions : float list;  (** probe rates, as fractions of the throughput *)
+  probe_s : float;  (** seconds of one knee probe *)
   nominal_s : float;  (** nominal-rate seconds, all rounds together *)
+  min_samples : int;  (** nominal-rate samples, all rounds together *)
   spawns : int;
 }
 
-(* At least [min_samples] nominal-rate samples in all, so that ten lie
-   beyond the p90. *)
-let min_samples = 105
-
+(* At least 100 nominal-rate samples, so that 10 lie beyond the p90. *)
 let budget_of_seconds seconds =
   {
-    rounds = 5;
-    thr_s = 0.2 *. seconds;
-    knee_steps = 5;
-    probe_s = 0.3 *. seconds /. 5.0;
-    nominal_s = 0.5 *. seconds;
+    rounds = 3;
+    thr_s = 0.12 *. seconds;
+    knee_fractions = [ 0.65; 0.75; 0.85; 0.95 ];
+    probe_s = 0.4 *. seconds /. 4.0;
+    nominal_s = 0.4 *. seconds;
+    min_samples = 100;
     spawns = setup_spawns;
   }
 
-let median_of f l = C.median (List.map f l)
-
-(* One round: a closed-loop throughput window, then this round's share
-   of the knee bisection (rates relative to the window's throughput),
-   then a nominal-rate window.  Rounds are spread over the run and the
-   run reports medians over them, so a slow stretch of a shared
-   machine that covers one round does not move the result. *)
-type round = { thr : float; thr_st : C.stats; nom : C.stats; cpu_s : float }
-
-let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin ~host_file ~clk_tck ~log =
+let run (w : W.t) checker ~budget ~server_bin ~host_file ~clk_tck ~log =
   let p = params w.W.kind in
   let setups = ref [] in
   let srv = ref None in
@@ -152,14 +188,20 @@ let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin 
   let rounds = max 1 budget.rounds in
   let nominal_count =
     let per_block = W.requests_per_block w in
-    let per_round = (min_samples + rounds - 1) / rounds in
+    let per_round = (budget.min_samples + rounds - 1) / rounds in
     max
       (whole_blocks w ~rate:p.nominal_rps ~seconds:(budget.nominal_s /. float_of_int rounds))
       (W.block_items w * ((per_round + per_block - 1) / per_block))
   in
-  let lo = ref knee_lo and hi = ref knee_hi in
+  let gaps = W.poisson_gaps 4096 in
   let probes = ref [] and probe_sent = ref 0 and probe_sheds = ref 0 in
-  let step = ref 0 in
+  (* the probes run one per round in the last rounds (all that do
+     not fit go to the first), so that most are scaled to a median of
+     several throughput windows *)
+  let n_probes = List.length budget.knee_fractions in
+  let round_of_probe k = max 0 (rounds - n_probes + k) in
+  let measured = ref [] in
+  let pooled f = C.sorted (List.concat_map f !measured) in
   let one_round r =
     let thr_st =
       keep
@@ -169,25 +211,29 @@ let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin 
     let thr =
       float_of_int thr_st.C.answered /. Float.max 1e-9 (thr_st.C.last_reply -. thr_st.C.first_send)
     in
-    (* this round's bisection steps *)
-    let upto = budget.knee_steps * (r + 1) / rounds in
-    while !step < upto do
-      incr step;
-      let f = (!lo +. !hi) /. 2.0 in
-      let rate = f *. thr in
-      let st = C.open_loop s ~rate ~count:(whole_blocks w ~rate ~seconds:budget.probe_s) ~grace:30.0 in
-      probe_sent := !probe_sent + st.C.sent;
-      probe_sheds := !probe_sheds + st.C.sheds;
-      let ok, p90 = probe_passes p st in
-      probes := (rate, ok, p90) :: !probes;
-      if ok then lo := f else hi := f
-    done;
     let cpu0 = C.cpu_seconds ~clk_tck srv.C.pid in
     let nom = keep (C.open_loop s ~rate:p.nominal_rps ~count:nominal_count ~grace:60.0) in
     let cpu1 = C.cpu_seconds ~clk_tck srv.C.pid in
-    { thr; thr_st; nom; cpu_s = cpu1 -. cpu0 }
+    measured := { thr; thr_st; nom; cpu_s = cpu1 -. cpu0 } :: !measured;
+    (* this round's probes, against the nominal p90 and the median
+       throughput so far *)
+    let limit = limit_factor *. C.quantile (pooled (fun r -> r.nom.C.lat_ms)) 0.9 in
+    let thr_so_far = C.median (List.map (fun r -> r.thr) !measured) in
+    List.iteri
+      (fun k fraction ->
+        if round_of_probe k = r then begin
+          let rate = fraction *. thr_so_far in
+          let st = C.open_loop ~gaps s ~rate ~count:(whole_blocks w ~rate ~seconds:budget.probe_s) ~grace:30.0 in
+          probe_sent := !probe_sent + st.C.sent;
+          probe_sheds := !probe_sheds + st.C.sheds;
+          probes := judge ~rate ~fraction ~limit st :: !probes
+        end)
+      budget.knee_fractions
   in
-  let rs = List.init rounds one_round in
+  for r = 0 to rounds - 1 do
+    one_round r
+  done;
+  let rs = List.rev !measured in
   (* churn: the stream ends with a drain of every live tenant, then UTIL *)
   (if w.W.kind = W.Churn && s.C.broken = None then begin
      Mutex.lock s.C.m;
@@ -203,27 +249,27 @@ let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin 
   let peak_rss_mb = C.vm_hwm_mb srv.C.pid in
   C.close_session s;
   C.stop srv;
-  let q r x = C.quantile (C.sorted r.nom.C.lat_ms) x in
   let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
   let failed_of (st : C.stats) = st.C.failures + st.C.sheds in
-  let throughput_rps = median_of (fun r -> r.thr) rs in
+  let throughput_rps = C.median (List.map (fun r -> r.thr) rs) in
+  let lat = pooled (fun r -> r.nom.C.lat_ms) in
   {
     setup_s = C.median !setups;
     throughput_rps;
     thr_n = sum (fun r -> r.thr_st.C.answered);
     knee =
       {
-        (* the bisection's fraction, applied to the median throughput *)
-        knee_rps = !lo *. throughput_rps;
+        knee_rps = knee_of ~ceiling:throughput_rps !probes;
         probes = List.rev !probes;
         probe_sent = !probe_sent;
         probe_sheds = !probe_sheds;
       };
-    p50_ms = median_of (fun r -> q r 0.5) rs;
-    p90_ms = median_of (fun r -> q r 0.9) rs;
-    nominal_n = sum (fun r -> r.nom.C.answered);
-    late_p90_ms = C.quantile (C.sorted (List.concat_map (fun r -> r.nom.C.late_ms) rs)) 0.9;
-    cpu_ms_per_req = median_of (fun r -> r.cpu_s *. 1000.0 /. float_of_int (max 1 r.nom.C.answered)) rs;
+    p50_ms = C.quantile lat 0.5;
+    p90_ms = C.quantile lat 0.9;
+    nominal_n = Array.length lat;
+    late_p90_ms = C.quantile (pooled (fun r -> r.nom.C.late_ms)) 0.9;
+    cpu_ms_per_req =
+      C.median (List.map (fun r -> r.cpu_s *. 1000.0 /. float_of_int (max 1 r.nom.C.answered)) rs);
     peak_rss_mb;
     sent = List.fold_left (fun a (st : C.stats) -> a + st.C.sent) !probe_sent !all;
     failed = sum (fun r -> failed_of r.thr_st + failed_of r.nom) + checker.Check.wrong;
@@ -233,4 +279,5 @@ let run ?(knee_lo = 0.0) ?(knee_hi = 1.0) (w : W.t) checker ~budget ~server_bin 
     wrong = checker.Check.wrong;
     messages = List.rev checker.Check.messages;
     broken = s.C.broken;
+    rounds = rs;
   }

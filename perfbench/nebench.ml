@@ -2,8 +2,6 @@
 
      nebench frames --workload W --seed N --host FILE [--count K]
        print the first K frames of the workload's stream
-     nebench pool --workload W --seed N --host FILE
-       time every template of the pool in-process, cold then warm
      nebench e2e --workload W --seed N --seconds S --host FILE
                  --server BIN --clk-tck T --out DIR
        end-to-end run against a spawned netembed_server
@@ -67,7 +65,6 @@ let () =
     [ Sys.sigterm; Sys.sigint; Sys.sighup ];
   match cmd with
   | "frames" -> print_string (W.dump w !count)
-  | "pool" -> Replay.pool_costs w ~host:host_graph
   | "e2e" ->
       let checker = Check.create w ~host:host_graph in
       let r =
@@ -76,13 +73,22 @@ let () =
       in
       List.iter (fun m -> prerr_endline ("nebench: wrong answer: " ^ m)) r.E2e.messages;
       Option.iter (fun m -> prerr_endline ("nebench: session broken: " ^ m)) r.E2e.broken;
+      List.iteri
+        (fun i (r : E2e.round) ->
+          let lat = Client.sorted r.E2e.nom.Client.lat_ms in
+          Printf.printf "round %d  throughput %7.2f req/s  nominal p50 %8.3f ms  p90 %8.3f ms  cpu %7.2f ms/req\n" i
+            r.E2e.thr (Client.quantile lat 0.5) (Client.quantile lat 0.9)
+            (r.E2e.cpu_s *. 1000.0 /. float_of_int (max 1 r.E2e.nom.Client.answered)))
+        r.E2e.rounds;
       List.iter
-        (fun (rate, ok, p90) ->
-          Printf.printf "knee probe %10.2f req/s  p90 %10.3f ms  %s\n" rate p90 (if ok then "pass" else "fail"))
+        (fun (p : E2e.probe) ->
+          Printf.printf "knee probe %5.3f x throughput = %7.2f req/s  p90 %9.3f ms  limit %9.3f ms%s  %s\n"
+            p.fraction p.rate p.p90 p.limit
+            (if p.backlog then "  backlog" else "")
+            (if p.pass then "pass" else "fail"))
         r.E2e.knee.E2e.probes;
-      let p = E2e.params kind in
-      Printf.printf "nominal %.1f req/s, p90 limit %.1f ms, generator late p90 %.3f ms\n" p.E2e.nominal_rps
-        p.E2e.limit_ms r.E2e.late_p90_ms;
+      Printf.printf "nominal %.1f req/s, generator late p90 %.3f ms\n" (E2e.params kind).E2e.nominal_rps
+        r.E2e.late_p90_ms;
       let ok_ratio = 1.0 -. (float_of_int r.E2e.failed /. float_of_int (max 1 r.E2e.counted)) in
       let metrics =
         [

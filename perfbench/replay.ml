@@ -64,7 +64,7 @@ type env = {
   registry : Telemetry.Registry.t;
   checker : Check.t;
   tenants : (int, int option) Hashtbl.t;
-  live : (int, unit) Hashtbl.t;
+  live : (int, int) Hashtbl.t;
 }
 
 let env w ~host =
@@ -143,13 +143,7 @@ let frame_of env = function
 (* Check the reply and track tenants, as the TCP client does. *)
 let settle env item ~alloc reply =
   let v = Check.reply env.checker item ~allocation:alloc reply in
-  (match (item, v) with
-  | W.Send { tenant = Some i; _ }, Check.Answer { allocation = Some id; _ } ->
-      Hashtbl.replace env.tenants i (Some id);
-      Hashtbl.replace env.live i ()
-  | W.Send { tenant = Some i; _ }, _ -> Hashtbl.replace env.tenants i None
-  | W.Free i, _ -> Hashtbl.remove env.live i
-  | W.Send { tenant = None; _ }, _ -> ());
+  Check.track ~tenants:env.tenants ~live:env.live item v;
   match v with Check.Failed _ | Check.Shed -> 1 | _ -> 0
 
 (* ------------------------------------------------------------------ *)
@@ -443,14 +437,15 @@ let run (w : W.t) ~host ~seconds ~server_bin ~host_file ~clk_tck ~out =
   (* The wire-side metrics: a shortened end-to-end run. *)
   let e2e_checker = Check.create w ~host in
   let e =
-    E2e.run w e2e_checker ~knee_lo:0.5 ~knee_hi:1.0
+    E2e.run w e2e_checker
       ~budget:
         {
           E2e.rounds = 1;
-          thr_s = 0.08 *. seconds;
-          knee_steps = 2;
-          probe_s = 0.05 *. seconds;
-          nominal_s = 0.15 *. seconds;
+          thr_s = 0.06 *. seconds;
+          knee_fractions = [ 0.6; 0.9 ];
+          probe_s = 0.04 *. seconds;
+          nominal_s = 0.12 *. seconds;
+          min_samples = 36;
           spawns = 1;
         }
       ~server_bin ~host_file ~clk_tck ~log:(Filename.concat out "server.log")
@@ -533,23 +528,3 @@ let run (w : W.t) ~host ~seconds ~server_bin ~host_file ~clk_tck ~out =
   in
   let attempted = e.E2e.sent + t.handled + List.length plain_times in
   (correct, attempted, e.E2e.failed, metrics)
-
-(* Each template's in-process submit cost, cold then warm: the numbers
-   behind the pool's composition. *)
-let pool_costs (w : W.t) ~host =
-  let env = env w ~host in
-  Array.iter
-    (fun (tmpl : W.template) ->
-      match tmpl.W.request with
-      | None -> ()
-      | Some r ->
-          let go () =
-            match timed (fun () -> Service.submit env.svc r) with
-            | Ok a, dt, _ ->
-                Printf.sprintf "%8.1f ms %5d found" (dt *. 1e3) a.Service.result.Engine.found
-            | Error e, _, _ -> "error " ^ e
-          in
-          let cold = go () in
-          let warm = go () in
-          Printf.printf "%3d %-14s cold %s | warm %s\n%!" tmpl.W.id tmpl.W.label cold warm)
-    w.W.pool

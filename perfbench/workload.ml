@@ -229,6 +229,8 @@ let tiny_block = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 1; 1; 2; 3; 3; 4; 4; 5 |
    and with it which tenants share the ledger at any time. *)
 let pool_seed = 1
 
+let gaps_seed = 2
+
 let make kind ~seed ~host =
   let pool_rng = Rng.make pool_seed in
   let pool =
@@ -248,10 +250,20 @@ let make kind ~seed ~host =
         Rng.shuffle_in_place r a;
         a
     | Churn ->
-        (* The trailing UTIL template is sent only after the drain. *)
-        let a = Array.init (Array.length pool - 1) Fun.id in
-        Rng.shuffle_in_place r a;
-        a
+        (* LNS tenants are cheap and ECF tenants (half of them oversize)
+           cost several times more; alternating the two keeps the queue
+           they leave at a fixed rate the same in every block, as the
+           clique spacing does for hard.  The trailing UTIL template is
+           sent only after the drain. *)
+        let tenants = Array.init (Array.length pool - 1) Fun.id in
+        let is_lns i =
+          match pool.(i).request with Some q -> q.Request.algorithm = Engine.LNS | None -> false
+        in
+        let lns = Array.of_list (List.filter is_lns (Array.to_list tenants))
+        and ecf = Array.of_list (List.filter (fun i -> not (is_lns i)) (Array.to_list tenants)) in
+        Rng.shuffle_in_place r lns;
+        Rng.shuffle_in_place r ecf;
+        Array.init (Array.length tenants) (fun i -> if i mod 2 = 0 then lns.(i / 2) else ecf.(i / 2))
     | Hard ->
         (* Cliques cost several times the rest; spacing them evenly
            (slots 0, 6, 12) keeps the queue they leave at a fixed rate
@@ -264,6 +276,15 @@ let make kind ~seed ~host =
   in
   let blocks = Array.init 64 (fun b -> arrange (if b = 0 then rng else Rng.make ((seed * 104729) + b))) in
   { kind; pool; order = blocks.(0); blocks }
+
+(* Inter-arrival times of mean 1 for open-loop probes: a Poisson
+   arrival process, scaled by 1/rate at send time.  Like the pool, it is
+   drawn from a fixed seed, and every probe replays it from the start:
+   probes differ only in their rate, and runs in the luck of the draw
+   not at all. *)
+let poisson_gaps n =
+  let r = Rng.make gaps_seed in
+  Array.init n (fun _ -> Rng.exponential r ~mean:1.0)
 
 let template_at t i =
   let n = Array.length t.order in
