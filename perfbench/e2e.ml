@@ -8,11 +8,11 @@
       steady tenant population;
    3. [rounds] rounds of: a closed-loop throughput window, an open-loop
       window at the workload's fixed nominal rate (p50/p90, server CPU
-      per request), and knee probes (Poisson arrivals at fractions of
-      the throughput so far);
+      per request), and one segment of each knee probe (Poisson
+      arrivals at fractions of the throughput so far);
    4. churn only: drain every live tenant, then UTIL must read used=0.
 
-   Every phase covers whole blocks of the workload's mix. *)
+   Every window is one whole block of the workload's mix. *)
 
 module W = Workload
 module C = Client
@@ -37,19 +37,13 @@ let params = function
    times the p90 at the nominal rate.  Both are measured in the same
    run, so the limit follows the machine's speed and the knee marks
    where queueing, not per-request cost, takes over. *)
-let limit_factor = 2.0
+let limit_factor = 1.5
 
 let setup_spawns = 5
 
 (* Warm-up ends on the second block boundary: one block of hard or
-   tiny (every template once), and for churn the first 48 arrivals. *)
+   tiny (every template once), and for churn the first 36 arrivals. *)
 let warm_items (w : W.t) = W.next_boundary w (W.first_boundary w + W.block_items w)
-
-(* Stream items of an open-loop phase at [rate] for about [seconds]:
-   whole blocks, at least one. *)
-let whole_blocks (w : W.t) ~rate ~seconds =
-  let b = W.block_items w in
-  b * max 1 (int_of_float (Float.round (rate *. seconds /. float_of_int b)))
 
 (* Time from spawn to the first answered frame (a HEALTH). *)
 let first_answer ~server_bin ~host_file ~log =
@@ -72,57 +66,87 @@ let first_answer ~server_bin ~host_file ~log =
   if not (Check.starts_with "OK" reply) then failwith ("first frame: " ^ reply);
   (srv, dt)
 
-type probe = { rate : float; fraction : float; p90 : float; limit : float; backlog : bool; pass : bool }
+type probe = {
+  rate : float;  (** offered rate, mean over its segments *)
+  fraction : float;
+  p90 : float;  (** over every segment *)
+  later_p50 : float;  (** median over the later halves of the segments *)
+  limit : float;
+  clean : bool;  (** every request answered, none shed *)
+}
 
 type knee = { knee_rps : float; probes : probe list; probe_sent : int; probe_sheds : int }
 
-(* The knee from the probes, in req/s, anchored on the highest-rate
-   probe that passed (a slow stretch that fails a lower probe does not
-   move it): from there to the next probe up, which failed, where the
-   p90 reaches the limit (log-linear in p90; the middle of the two
-   rates when that probe failed on backlog or errors with its p90 in
-   the limit).  When the top probe passed, the line through it and
-   the one below extended to the limit, at most [ceiling]; when none
-   passed, the lowest probe's rate scaled down by its p90 excess. *)
+(* How far a probe's latency is over its limit, as log (p90 / limit).
+   A backlog that grows through a segment counts as well: the later
+   halves' median, which stays far below the p90 unless the queue
+   keeps growing, stands in for the p90 when it is higher.  A probe
+   that lost or shed a request counts as missing the limit by the
+   cap. *)
+let excess_cap = log 8.0
+
+let excess p =
+  if not p.clean then excess_cap
+  else Float.min excess_cap (log (Float.max p.p90 p.later_p50 /. p.limit))
+
+let passes p = excess p <= 0.0
+
+(* The knee from the probes, in req/s: the rate where the least-squares
+   line of [excess] against rate crosses 0 (with two probes, the line
+   through them), kept within [half the lowest probe rate, ceiling].
+   A flat or falling line (no queueing seen) gives [ceiling]. *)
 let knee_of ~ceiling probes =
-  let x p = log (p.p90 /. p.limit) in
-  let at_limit a b = a.rate +. ((b.rate -. a.rate) *. -.x a /. (x b -. x a)) in
-  let sorted = List.sort (fun a b -> compare a.rate b.rate) probes in
-  (* (highest passing probe, the probe below it, the probe above it) *)
-  let rec top below = function
-    | a :: rest when a.pass -> (
-        match top (Some a) rest with
-        | None -> Some (a, below, List.nth_opt rest 0)
-        | found -> found)
-    | a :: rest -> top (Some a) rest
-    | [] -> None
-  in
-  match top None sorted with
-  | Some (a, _, Some b) -> if x b > 0.0 then at_limit a b else (a.rate +. b.rate) /. 2.0
-  | Some (a, Some z, None) when x a > x z -> Float.min ceiling (at_limit z a)
-  | Some _ -> ceiling
-  | None -> (
-      match sorted with p :: _ -> p.rate *. Float.min 1.0 (exp (-.x p)) | [] -> ceiling)
+  match probes with
+  | [] -> ceiling
+  | _ ->
+      let n = float_of_int (List.length probes) in
+      let mean f = List.fold_left (fun a p -> a +. f p) 0.0 probes /. n in
+      let mx = mean (fun p -> p.rate) and my = mean excess in
+      let sxy = mean (fun p -> (p.rate -. mx) *. (excess p -. my))
+      and sxx = mean (fun p -> (p.rate -. mx) ** 2.0) in
+      let lowest = List.fold_left (fun a p -> Float.min a p.rate) infinity probes in
+      if sxx <= 0.0 || sxy <= 0.0 then ceiling
+      else Float.min ceiling (Float.max (0.5 *. lowest) (mx -. (my *. sxx /. sxy)))
 
-(* A probe passes when every request is answered, none shed, and the
-   p90 meets [limit] over the whole probe and over its later half: a
-   backlog that grows through the probe fails it even when the early
-   replies pull the whole probe's p90 under the limit. *)
-let judge ~rate ~fraction ~limit (st : C.stats) =
-  let p90 = C.quantile (C.sorted st.C.lat_ms) 0.9 in
+(* One probe from its segments, each a (rate, stats) pair. *)
+let judge ~fraction ~limit segments =
+  let lat = List.concat_map (fun (_, st) -> st.C.lat_ms) segments in
   (* lat_ms is newest first *)
-  let n = List.length st.C.lat_ms in
-  let later = C.quantile (C.sorted (List.filteri (fun i _ -> i < n / 2) st.C.lat_ms)) 0.9 in
-  let backlog = later > limit in
-  let clean = st.C.failures = 0 && st.C.sheds = 0 && st.C.wrongs = 0 && st.C.answered = st.C.sent in
-  { rate; fraction; p90; limit; backlog; pass = clean && p90 <= limit && not backlog }
+  let later =
+    List.concat_map
+      (fun (_, st) ->
+        let n = List.length st.C.lat_ms in
+        List.filteri (fun i _ -> i < n / 2) st.C.lat_ms)
+      segments
+  in
+  let clean =
+    List.for_all
+      (fun (_, (st : C.stats)) ->
+        st.C.failures = 0 && st.C.sheds = 0 && st.C.wrongs = 0 && st.C.answered = st.C.sent)
+      segments
+  in
+  {
+    rate = List.fold_left (fun a (r, _) -> a +. r) 0.0 segments /. float_of_int (max 1 (List.length segments));
+    fraction;
+    p90 = C.quantile (C.sorted lat) 0.9;
+    later_p50 = C.quantile (C.sorted later) 0.5;
+    limit;
+    clean;
+  }
 
-(* One round: a closed-loop throughput window, a nominal-rate window,
-   then this round's knee probes, if any.  Rounds are spread
-   over the run and the run reports medians or pooled percentiles over
-   them, so a slow stretch of a shared machine that covers one round
-   moves the result little. *)
-type round = { thr : float; thr_st : C.stats; nom : C.stats; cpu_s : float }
+(* One round: a closed-loop throughput window and a nominal-rate
+   window, one block of the mix each, then a segment of the knee probes
+   in turn, [probe_blocks] blocks long so that a queue can build.
+   Every metric pools its windows over all rounds, so each samples the
+   whole run: a slow stretch of a shared machine weighs on every metric
+   and every probe alike instead of on whichever phase it hit. *)
+type round = {
+  thr : float;
+  thr_st : C.stats;
+  nom : C.stats;
+  cpu_s : float;  (** server CPU over the whole round *)
+  answered : int;  (** replies in the whole round *)
+}
 
 type result = {
   rounds : round list;  (** oldest first *)
@@ -135,6 +159,7 @@ type result = {
   nominal_n : int;
   late_p90_ms : float;
   cpu_ms_per_req : float;
+  cpu_n : int;  (** replies [cpu_ms_per_req] divides by *)
   peak_rss_mb : float;
   sent : int;  (** every request sent, all phases *)
   failed : int;
@@ -149,25 +174,32 @@ type result = {
 
 type budget = {
   rounds : int;
-  thr_s : float;  (** closed-loop seconds, all rounds together *)
   knee_fractions : float list;  (** probe rates, as fractions of the throughput *)
-  probe_s : float;  (** seconds of one knee probe *)
-  nominal_s : float;  (** nominal-rate seconds, all rounds together *)
-  min_samples : int;  (** nominal-rate samples, all rounds together *)
+  probe_blocks : int;  (** blocks of the mix in one probe segment *)
   spawns : int;
 }
 
-(* At least 100 nominal-rate samples, so that 10 lie beyond the p90. *)
+(* A round of churn or hard takes about [round_s] seconds on a 2-core
+   VM; six rounds give hard (18 requests a block) and churn (20) at
+   least 100 nominal-rate samples, so that 10 lie beyond the p90, and
+   each of the two knee probes three segments. *)
+let round_s = 8.0
+
+let max_rounds = 6
+
 let budget_of_seconds seconds =
   {
-    rounds = 3;
-    thr_s = 0.12 *. seconds;
-    knee_fractions = [ 0.65; 0.75; 0.85; 0.95 ];
-    probe_s = 0.4 *. seconds /. 4.0;
-    nominal_s = 0.4 *. seconds;
-    min_samples = 100;
+    rounds = max 1 (min max_rounds (int_of_float (seconds /. round_s)));
+    knee_fractions = [ 0.7; 0.95 ];
+    probe_blocks = 2;
     spawns = setup_spawns;
   }
+
+(* Requests per second of closed-loop windows, all together. *)
+let rate_of (sts : C.stats list) =
+  let answered = List.fold_left (fun a (st : C.stats) -> a + st.C.answered) 0 sts in
+  let busy = List.fold_left (fun a (st : C.stats) -> a +. (st.C.last_reply -. st.C.first_send)) 0.0 sts in
+  float_of_int answered /. Float.max 1e-9 busy
 
 let run (w : W.t) checker ~budget ~server_bin ~host_file ~clk_tck ~log =
   let p = params w.W.kind in
@@ -182,58 +214,41 @@ let run (w : W.t) checker ~budget ~server_bin ~host_file ~clk_tck ~log =
   let s = C.open_session w checker ~port:srv.C.port ~conns:p.conns in
   let all = ref [] in
   let keep st = all := st :: !all; st in
-  (* Every phase covers whole blocks of the mix, so each measures the
-     same composition whatever the seed. *)
+  (* Every window covers one whole block of the mix, so each measures
+     the same composition whatever the seed. *)
   ignore (keep (C.closed_items s ~window:p.window ~n:(warm_items w) ~grace:60.0));
-  let rounds = max 1 budget.rounds in
-  let nominal_count =
-    let per_block = W.requests_per_block w in
-    let per_round = (budget.min_samples + rounds - 1) / rounds in
-    max
-      (whole_blocks w ~rate:p.nominal_rps ~seconds:(budget.nominal_s /. float_of_int rounds))
-      (W.block_items w * ((per_round + per_block - 1) / per_block))
-  in
+  let block = W.block_items w in
   let gaps = W.poisson_gaps 4096 in
-  let probes = ref [] and probe_sent = ref 0 and probe_sheds = ref 0 in
-  (* the probes run one per round in the last rounds (all that do
-     not fit go to the first), so that most are scaled to a median of
-     several throughput windows *)
-  let n_probes = List.length budget.knee_fractions in
-  let round_of_probe k = max 0 (rounds - n_probes + k) in
-  let measured = ref [] in
+  let measured = ref [] and segments = ref [] in
   let pooled f = C.sorted (List.concat_map f !measured) in
-  let one_round r =
-    let thr_st =
-      keep
-        (C.closed_loop ~stop_at:(W.is_boundary w) s ~window:p.window
-           ~duration:(budget.thr_s /. float_of_int rounds) ~grace:60.0)
-    in
-    let thr =
-      float_of_int thr_st.C.answered /. Float.max 1e-9 (thr_st.C.last_reply -. thr_st.C.first_send)
-    in
-    let cpu0 = C.cpu_seconds ~clk_tck srv.C.pid in
-    let nom = keep (C.open_loop s ~rate:p.nominal_rps ~count:nominal_count ~grace:60.0) in
-    let cpu1 = C.cpu_seconds ~clk_tck srv.C.pid in
-    measured := { thr; thr_st; nom; cpu_s = cpu1 -. cpu0 } :: !measured;
-    (* this round's probes, against the nominal p90 and the median
-       throughput so far *)
-    let limit = limit_factor *. C.quantile (pooled (fun r -> r.nom.C.lat_ms)) 0.9 in
-    let thr_so_far = C.median (List.map (fun r -> r.thr) !measured) in
-    List.iteri
-      (fun k fraction ->
-        if round_of_probe k = r then begin
-          let rate = fraction *. thr_so_far in
-          let st = C.open_loop ~gaps s ~rate ~count:(whole_blocks w ~rate ~seconds:budget.probe_s) ~grace:30.0 in
-          probe_sent := !probe_sent + st.C.sent;
-          probe_sheds := !probe_sheds + st.C.sheds;
-          probes := judge ~rate ~fraction ~limit st :: !probes
-        end)
-      budget.knee_fractions
-  in
-  for r = 0 to rounds - 1 do
-    one_round r
+  for r = 0 to max 1 budget.rounds - 1 do
+    if s.C.broken = None then begin
+      let cpu0 = C.cpu_seconds ~clk_tck srv.C.pid in
+      let thr_st = keep (C.closed_items s ~window:p.window ~n:block ~grace:60.0) in
+      let nom = keep (C.open_loop s ~rate:p.nominal_rps ~count:block ~grace:60.0) in
+      (* one segment of the next probe in turn, at its fraction of the
+         throughput so far *)
+      let fraction = List.nth budget.knee_fractions (r mod List.length budget.knee_fractions) in
+      let rate = fraction *. rate_of (thr_st :: List.map (fun r -> r.thr_st) !measured) in
+      let probe = C.open_loop ~gaps s ~rate ~count:(budget.probe_blocks * block) ~grace:30.0 in
+      segments := (fraction, (rate, probe)) :: !segments;
+      let cpu_s = C.cpu_seconds ~clk_tck srv.C.pid -. cpu0 in
+      let answered = thr_st.C.answered + nom.C.answered + probe.C.answered in
+      measured := { thr = rate_of [ thr_st ]; thr_st; nom; cpu_s; answered } :: !measured
+    end
   done;
   let rs = List.rev !measured in
+  let limit = limit_factor *. C.quantile (pooled (fun r -> r.nom.C.lat_ms)) 0.9 in
+  let probes =
+    List.filter_map
+      (fun f ->
+        match List.filter_map (fun (g, seg) -> if g = f then Some seg else None) !segments with
+        | [] -> None
+        | segs -> Some (judge ~fraction:f ~limit segs))
+      budget.knee_fractions
+  in
+  let probe_sent = List.fold_left (fun a (_, (_, (st : C.stats))) -> a + st.C.sent) 0 !segments in
+  let probe_sheds = List.fold_left (fun a (_, (_, (st : C.stats))) -> a + st.C.sheds) 0 !segments in
   (* churn: the stream ends with a drain of every live tenant, then UTIL *)
   (if w.W.kind = W.Churn && s.C.broken = None then begin
      Mutex.lock s.C.m;
@@ -251,7 +266,9 @@ let run (w : W.t) checker ~budget ~server_bin ~host_file ~clk_tck ~log =
   C.stop srv;
   let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
   let failed_of (st : C.stats) = st.C.failures + st.C.sheds in
-  let throughput_rps = C.median (List.map (fun r -> r.thr) rs) in
+  (* Throughput and CPU per request are ratios of sums over the rounds:
+     every request weighs the same, whichever round it fell in. *)
+  let throughput_rps = rate_of (List.map (fun r -> r.thr_st) rs) in
   let lat = pooled (fun r -> r.nom.C.lat_ms) in
   {
     setup_s = C.median !setups;
@@ -259,19 +276,20 @@ let run (w : W.t) checker ~budget ~server_bin ~host_file ~clk_tck ~log =
     thr_n = sum (fun r -> r.thr_st.C.answered);
     knee =
       {
-        knee_rps = knee_of ~ceiling:throughput_rps !probes;
-        probes = List.rev !probes;
-        probe_sent = !probe_sent;
-        probe_sheds = !probe_sheds;
+        knee_rps = knee_of ~ceiling:throughput_rps probes;
+        probes;
+        probe_sent;
+        probe_sheds;
       };
     p50_ms = C.quantile lat 0.5;
     p90_ms = C.quantile lat 0.9;
     nominal_n = Array.length lat;
     late_p90_ms = C.quantile (pooled (fun r -> r.nom.C.late_ms)) 0.9;
     cpu_ms_per_req =
-      C.median (List.map (fun r -> r.cpu_s *. 1000.0 /. float_of_int (max 1 r.nom.C.answered)) rs);
+      List.fold_left (fun a r -> a +. r.cpu_s) 0.0 rs *. 1000.0 /. float_of_int (max 1 (sum (fun r -> r.answered)));
+    cpu_n = sum (fun r -> r.answered);
     peak_rss_mb;
-    sent = List.fold_left (fun a (st : C.stats) -> a + st.C.sent) !probe_sent !all;
+    sent = List.fold_left (fun a (st : C.stats) -> a + st.C.sent) probe_sent !all;
     failed = sum (fun r -> failed_of r.thr_st + failed_of r.nom) + checker.Check.wrong;
     counted = sum (fun r -> r.thr_st.C.sent + r.nom.C.sent);
     accept_ratio =

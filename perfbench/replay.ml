@@ -439,15 +439,7 @@ let run (w : W.t) ~host ~seconds ~server_bin ~host_file ~clk_tck ~out =
   let e =
     E2e.run w e2e_checker
       ~budget:
-        {
-          E2e.rounds = 1;
-          thr_s = 0.06 *. seconds;
-          knee_fractions = [ 0.6; 0.9 ];
-          probe_s = 0.04 *. seconds;
-          nominal_s = 0.12 *. seconds;
-          min_samples = 36;
-          spawns = 1;
-        }
+        { E2e.rounds = max 1 (min 2 (int_of_float (seconds /. (2.0 *. E2e.round_s)))); knee_fractions = [ 0.7; 0.95 ]; probe_blocks = 2; spawns = 1 }
       ~server_bin ~host_file ~clk_tck ~log:(Filename.concat out "server.log")
   in
   List.iter (fun m -> prerr_endline ("nebench: wrong answer: " ^ m)) e.E2e.messages;
