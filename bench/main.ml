@@ -735,9 +735,9 @@ let filter_cache_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Two measurements on the PlanetLab host with 2-node tenants:
-   1. the full service loop — residual snapshot, residual-aware search,
-      commit — with the oldest tenant released once 16 are live
-      (allocations/sec with the search in the loop);
+   1. the full service loop through the model — residual snapshot,
+      residual-aware search, commit — with the oldest tenant released
+      once 16 are live (allocations/sec with the search in the loop);
    2. the ledger alone — charge_of_mapping + try_commit + release on a
       fixed mapping — the pure accounting overhead per commit. *)
 
@@ -766,9 +766,10 @@ let churn_node_constraint = Expr.parse_exn "rSource.cpuMhz >= vSource.cpuMhz"
 
 let ledger_churn () =
   Printf.printf "# Multi-tenant ledger churn (PlanetLab host, 2-node tenants)\n%!";
+  let module Model = Netembed_service.Model in
   let host = Lazy.force planetlab in
   let query = churn_query ~cpu:200.0 ~bw:5.0 in
-  let ledger = Ledger.of_graph host in
+  let model = Model.create host in
   let live = Queue.create () in
   let rounds = 40 in
   let search_row =
@@ -776,23 +777,19 @@ let ledger_churn () =
         let committed = ref 0 in
         for _ = 1 to rounds do
           if Queue.length live >= 16 then
-            ignore (Ledger.release ledger (Queue.pop live));
-          let residual = Ledger.residual_graph ledger in
+            ignore (Model.release_charge model (Queue.pop live));
           let p =
-            Problem.make ~node_constraint:churn_node_constraint ~host:residual
-              ~query churn_edge_constraint
+            Problem.make ~node_constraint:churn_node_constraint
+              ~host:(Model.residual_snapshot model) ~query churn_edge_constraint
           in
           match Engine.find_first ~timeout:2.0 Engine.LNS p with
           | None -> ()
           | Some m -> (
-              match Ledger.charge_of_mapping ledger ~query m with
-              | Error _ -> ()
-              | Ok charge -> (
-                  match Ledger.try_commit ledger charge with
-                  | Ok id ->
-                      incr committed;
-                      Queue.push id live
-                  | Error _ -> ()))
+              match Model.charge_mapping model ~query m with
+              | Ok id ->
+                  incr committed;
+                  Queue.push id live
+              | Error _ -> ())
         done;
         (rounds, !committed))
   in
@@ -833,6 +830,86 @@ let ledger_churn () =
         (ledger_row.row_ms *. 1000.0 /. float_of_int pairs)
 
 (* ------------------------------------------------------------------ *)
+(* Versioned residual host: snapshot read, filter build vs repair      *)
+(* ------------------------------------------------------------------ *)
+
+(* The service's per-request capacity view on PlanetLab: the model's
+   published residual version (a pointer read) next to the whole-graph
+   residual copy it replaced; and, for a churn-style ECF query, a fresh
+   filter build next to the repair of the previous version's filter
+   after one tenant commits. *)
+let versioned_host_bench () =
+  Printf.printf "# Versioned residual host (PlanetLab, one-tenant delta)
+%!";
+  let module Model = Netembed_service.Model in
+  let host = Lazy.force planetlab in
+  let model = Model.create host in
+  let reads = 100_000 in
+  let snap =
+    measure_gc ~name:"model/residual_snapshot" ~repeat:reads (fun () ->
+        ignore (Model.residual_snapshot model);
+        (0, 0))
+  in
+  let copy =
+    measure_gc ~name:"model/residual_graph_copy" ~repeat:3 (fun () ->
+        ignore (Ledger.residual_graph ~base:(Model.snapshot model) (Model.ledger model));
+        (0, 0))
+  in
+  Printf.printf
+    "  residual_snapshot %10.5f ms %6.0f words | residual_graph copy %8.2f ms %9.0f words
+%!"
+    snap.row_ms snap.row_minor_words copy.row_ms copy.row_minor_words;
+  (* A churn-style 3-node path tenant: cpu per node, bandwidth and a
+     delay bound per link. *)
+  let query = Graph.create () in
+  let node = Attrs.of_list [ ("cpuMhz", Value.Float 200.0) ] in
+  let q = Array.init 3 (fun _ -> Graph.add_node query node) in
+  for i = 1 to 2 do
+    ignore
+      (Graph.add_edge query q.(i - 1) q.(i)
+         (Attrs.of_list
+            [
+              ("minDelay", Value.Float 0.0);
+              ("maxDelay", Value.Float 150.0);
+              ("bandwidth", Value.Float 5.0);
+            ]))
+  done;
+  let problem ?compiled host =
+    Problem.make ~node_constraint:churn_node_constraint ?compiled ~host ~query
+      churn_edge_constraint
+  in
+  let g0 = Model.residual_snapshot model in
+  let p0 = problem g0 in
+  let f0 = Filter.build p0 in
+  let tenant = churn_query ~cpu:300.0 ~bw:5.0 in
+  (match
+     Engine.find_first ~timeout:2.0 Engine.LNS
+       (Problem.make ~node_constraint:churn_node_constraint ~host:g0 ~query:tenant
+          churn_edge_constraint)
+   with
+  | Some m -> ignore (Model.charge_mapping model ~query:tenant m)
+  | None -> ());
+  let g1 = Model.residual_snapshot model in
+  let p1 = problem ~compiled:(Problem.compiled_programs p0) g1 in
+  let build =
+    measure_gc ~name:"filter/build" ~repeat:3 (fun () ->
+        ignore (Filter.build p1);
+        (0, 0))
+  in
+  let repair =
+    measure_gc ~name:"filter/repair" ~repeat:50 (fun () ->
+        ignore (Filter.repair f0 ~since:g0 p1);
+        (0, 0))
+  in
+  if not (Filter.equal (Filter.repair f0 ~since:g0 p1) (Filter.build p1)) then
+    failwith "filter/repair differs from filter/build";
+  Printf.printf
+    "  filter build %8.2f ms %9.0f words | repair %8.3f ms %8.0f words (%d nodes, %d edges changed)\n\n%!"
+    build.row_ms build.row_minor_words repair.row_ms repair.row_minor_words
+    (List.length (Graph.changed_nodes ~since:g0 g1))
+    (List.length (Graph.changed_edges ~since:g0 g1))
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -854,6 +931,7 @@ let () =
     ignore (engine_gc_row "fig8/lns_first_n20+gc" Engine.LNS Engine.First (Lazy.force pl_subgraph_problem));
     ignore (engine_gc_row "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All (Lazy.force clique_problem));
     ledger_churn ();
+    versioned_host_bench ();
     scheduling_ablation ();
     filter_cache_bench ();
     write_gc_json ();
@@ -890,6 +968,7 @@ let () =
   ignore (engine_gc_row "fig8/lns_first_n20+gc" Engine.LNS Engine.First (Lazy.force pl_subgraph_problem));
   ignore (engine_gc_row "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All (Lazy.force clique_problem));
   ledger_churn ();
+  versioned_host_bench ();
   scheduling_ablation ();
   filter_cache_bench ();
   write_gc_json ();

@@ -20,7 +20,13 @@
     The matrix also precomputes per-query-node candidate sets (the
     paper's expression (1), strengthened with the node-level filters of
     {!Problem.node_ok}) and the Lemma-1 search order [LS]: query nodes
-    ascending by candidate count. *)
+    ascending by candidate count.
+
+    Under the cells the filter keeps what they are derived from: per
+    query node, the host nodes passing the node filter, and per (query
+    edge, orientation), the host edges whose constraint verdict is
+    accept.  That is what lets {!repair} move a filter to a new version
+    of the host by re-judging only the elements that changed. *)
 
 open Netembed_graph
 
@@ -55,6 +61,39 @@ val build :
     compatible host edge).  Diagnostic runs only: the attribution pass
     re-evaluates node constraints, so constraint-evaluation counts are
     higher than an unblamed build. *)
+
+val repair : t -> since:Graph.t -> Problem.t -> t
+(** [repair f ~since p] is the filter of [p], derived from [f] without a
+    rebuild.  Contract: [f] was built (or repaired) for a problem over
+    the host version [since] with the same query, constraints, degree
+    filter and evaluator as [p], and [p]'s host is a version of the same
+    topology ({!Graph.derive}).  The result is then equal to
+    [build ~ordering p] ({!equal}: same cells, candidates and order, with
+    [ordering] the one [f] was built with), so searches over it return
+    exactly what they would over a fresh build.
+
+    Only host elements whose attribute table is not physically equal
+    between [since] and [p]'s host are looked at
+    ({!Graph.changed_nodes}): changed nodes get their node filter
+    re-tested, host edges that changed — or that touch a changed node
+    whose filter verdict flipped, or any changed node when the
+    constraint reads [rSource]/[rTarget] — are re-judged by evaluating
+    the constraint, and only matrix rows at the endpoints of a verdict
+    that flipped are recomputed.  [f] is not modified: unchanged cells
+    and sets are shared with it (both are read-only), so [f] stays
+    valid for [since].  When nothing changed, [f] itself is returned.
+    No blame is recorded (repair is the service's cache path).
+    @raise Invalid_argument when [p]'s host or query has a different
+    node count, or its host is not a version of [since]'s topology. *)
+
+val equal : t -> t -> bool
+(** Structural equality of everything a search or a later {!repair}
+    reads: cells, node filters, accepted host edges, node candidates,
+    order and cell count.  Not the lazily built array views. *)
+
+val builds_total : unit -> int
+(** Filter builds since program start, across all domains — a hit or a
+    repair in the service's cache leaves it flat. *)
 
 val universe : t -> int
 (** Host-node universe size — the width of every cell bitset. *)

@@ -7,6 +7,18 @@
     Graphs are mutable during construction (generators add nodes and
     edges incrementally) and treated as immutable afterwards.
 
+    {b Versions.}  {!derive} makes a new version of a graph in O(1): it
+    shares the topology (endpoints, adjacency, the pair index) and,
+    copy-on-write, the attribute tables — an attribute write on either
+    side copies the chunk of the table it touches, so two versions
+    never see each other's writes.  {!freeze} makes a version read-only, which is
+    how a version is published to concurrent readers: the network model
+    ({!Netembed_service.Model}) hands out frozen versions of its
+    residual host, and {!changed_nodes}/{!changed_edges} find the
+    elements whose attributes differ between two versions by physical
+    comparison.  A topology shared by two versions cannot grow:
+    {!add_node} and {!add_edge} raise on it.
+
     Undirected graphs store each edge once; adjacency is maintained from
     both endpoints.  Self-loops are rejected; parallel edges are allowed
     (a hosting network may expose several measured links between two
@@ -24,12 +36,25 @@ val create : ?kind:kind -> ?name:string -> unit -> t
 (** A fresh empty graph; [kind] defaults to [Undirected]. *)
 
 val add_node : t -> Netembed_attr.Attrs.t -> node
+(** @raise Invalid_argument on a frozen graph or one whose topology is
+    shared with another version ({!derive}). *)
+
 val add_edge : t -> node -> node -> Netembed_attr.Attrs.t -> edge
-(** @raise Invalid_argument on self-loops or unknown endpoints. *)
+(** @raise Invalid_argument on self-loops, unknown endpoints, a frozen
+    graph or a shared topology (as {!add_node}). *)
 
 val set_node_attrs : t -> node -> Netembed_attr.Attrs.t -> unit
+(** Replace one node's attribute table.  Attribute tables are stored in
+    chunks of 256 elements; on a version that still shares a chunk, the
+    write copies that chunk (and, on the first write, the chunk index),
+    so a version costs O(elements / 256 + 256 * chunks written).
+    @raise Invalid_argument on a frozen graph. *)
+
 val set_edge_attrs : t -> edge -> Netembed_attr.Attrs.t -> unit
+(** As {!set_node_attrs}, for edges. *)
+
 val set_graph_attrs : t -> Netembed_attr.Attrs.t -> unit
+(** @raise Invalid_argument on a frozen graph. *)
 
 (** {1 Inspection} *)
 
@@ -85,6 +110,33 @@ val edges : t -> (edge * node * node) array
 (** {1 Derived graphs} *)
 
 val copy : t -> t
+(** A deep copy: fresh topology and attribute tables. *)
+
+(** {1 Versions} *)
+
+val derive : t -> t
+(** A new, writable version of [t] in O(1), sharing its topology and
+    (copy-on-write) its attribute tables.  Afterwards neither [t] nor the
+    new version can grow.  Deriving never writes to a frozen [t], so
+    concurrent readers of a frozen version may derive from it. *)
+
+val freeze : t -> unit
+(** Make the graph read-only: every later [set_*] or [add_*] raises.
+    Irreversible. *)
+
+val is_frozen : t -> bool
+
+val shares_topology : t -> t -> bool
+(** Whether two graphs are versions of one topology ({!derive}). *)
+
+val changed_nodes : since:t -> t -> node list
+(** The nodes, ascending, whose attribute table in the second version
+    is not physically equal to the one in [since].  Chunks the two
+    versions share are skipped without looking at their elements.
+    @raise Invalid_argument unless the versions share their topology. *)
+
+val changed_edges : since:t -> t -> edge list
+(** As {!changed_nodes}, for edges. *)
 
 val induced_subgraph : t -> node array -> t * node array
 (** [induced_subgraph g sel] is the subgraph on the nodes of [sel]

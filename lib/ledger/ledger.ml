@@ -199,6 +199,12 @@ let charge_of_mapping t ~query mapping =
       query;
   match !error with Some m -> Error m | None -> Ok (List.rev !lines)
 
+(* The pool sweeps below ([admissible], [pool_fragmentation],
+   [utilization]) run on every admission check and every ledger change,
+   over up to tens of thousands of elements: they are plain [for] loops
+   over local float accumulators, which the compiler keeps unboxed — a
+   closure capturing a float [ref] would box every addition.  Each sums
+   in ascending element order, so the figures are reproducible. *)
 let admissible t ~query =
   let check pools element_count query_attrs =
     List.fold_left
@@ -213,13 +219,13 @@ let admissible t ~query =
               | Some _ | None -> ()
             done;
             let free = ref 0.0 and cap = ref 0.0 in
-            Array.iteri
-              (fun i c ->
-                if p.p_present.(i) then begin
-                  free := !free +. (c -. p.p_used.(i));
-                  cap := !cap +. c
-                end)
-              p.p_capacity;
+            for i = 0 to Array.length p.p_capacity - 1 do
+              if p.p_present.(i) then begin
+                let c = p.p_capacity.(i) in
+                free := !free +. (c -. p.p_used.(i));
+                cap := !cap +. c
+              end
+            done;
             if !demand > !free +. slack !cap then
               Error
                 {
@@ -448,6 +454,21 @@ let credit t charge =
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The one residual rule: what a snapshot shows for a tracked element. *)
+let residual_value p i = Float.max 0.0 (p.p_capacity.(i) -. p.p_used.(i))
+
+let stamp t target attrs =
+  check_index t target;
+  let pools, i =
+    match target with Node v -> (t.node_pools, v) | Edge e -> (t.edge_pools, e)
+  in
+  List.fold_left
+    (fun attrs p ->
+      if p.p_present.(i) then
+        Attrs.add p.p_resource (Value.Float (residual_value p i)) attrs
+      else attrs)
+    attrs pools
+
 let residual_graph ?base t =
   let base = Option.value ~default:t.graph base in
   if
@@ -462,9 +483,7 @@ let residual_graph ?base t =
           (fun i present ->
             if present then
               set_attrs i
-                (Attrs.add p.p_resource
-                   (Value.Float (Float.max 0.0 (p.p_capacity.(i) -. p.p_used.(i))))
-                   (get_attrs i)))
+                (Attrs.add p.p_resource (Value.Float (residual_value p i)) (get_attrs i)))
           p.p_present)
       pools
   in
@@ -519,14 +538,13 @@ let sync_residual t g =
    defragmentation pass undoes. *)
 let pool_fragmentation p =
   let free_total = ref 0.0 and free_dispersed = ref 0.0 in
-  Array.iteri
-    (fun i c ->
-      if p.p_present.(i) then begin
-        let r = Float.max 0.0 (c -. p.p_used.(i)) in
-        free_total := !free_total +. r;
-        if p.p_used.(i) > 0.0 then free_dispersed := !free_dispersed +. r
-      end)
-    p.p_capacity;
+  for i = 0 to Array.length p.p_capacity - 1 do
+    if p.p_present.(i) then begin
+      let r = Float.max 0.0 (p.p_capacity.(i) -. p.p_used.(i)) in
+      free_total := !free_total +. r;
+      if p.p_used.(i) > 0.0 then free_dispersed := !free_dispersed +. r
+    end
+  done;
   if !free_total <= 0.0 then 0.0 else !free_dispersed /. !free_total
 
 let fragmentation t =
@@ -544,13 +562,12 @@ let fragmentation_index t =
 let utilization t =
   let summarize p =
     let used_total = ref 0.0 and cap_total = ref 0.0 in
-    Array.iteri
-      (fun i c ->
-        if p.p_present.(i) then begin
-          used_total := !used_total +. p.p_used.(i);
-          cap_total := !cap_total +. c
-        end)
-      p.p_capacity;
+    for i = 0 to Array.length p.p_capacity - 1 do
+      if p.p_present.(i) then begin
+        used_total := !used_total +. p.p_used.(i);
+        cap_total := !cap_total +. p.p_capacity.(i)
+      end
+    done;
     (p.p_resource, p.p_kind, !used_total, !cap_total)
   in
   List.map summarize t.node_pools @ List.map summarize t.edge_pools

@@ -20,11 +20,11 @@
       are recomputed from the outstanding allocations, so a full
       commit/release round-trip restores them {e exactly} (no floating
       drift accumulates).
-    - {!residual_graph} materializes a hosting-graph snapshot whose
-      capacity attributes hold the {e residual} values, so the search
-      core prunes against what is actually free with no change to the
-      constraint language: ["rSource.cpuMhz >= vSource.cpuMhz"]
-      automatically accounts for co-located tenants.
+    - {!stamp} and {!residual_graph} show capacity attributes holding
+      the {e residual} values, so the search core prunes against what
+      is actually free with no change to the constraint language:
+      ["rSource.cpuMhz >= vSource.cpuMhz"] automatically accounts for
+      co-located tenants.
 
     Capacity semantics: a resource is {e tracked} when at least one
     node (respectively edge) of the hosting graph carries a numeric
@@ -170,10 +170,22 @@ val credit : t -> charge -> (unit, string) result
 
 (** {1 Snapshots} *)
 
+val stamp : t -> target -> Netembed_attr.Attrs.t -> Netembed_attr.Attrs.t
+(** [stamp t target attrs] is [attrs] with every tracked capacity the
+    element declared replaced by its residual value
+    [max 0 (capacity - used)] — the rule {!residual_graph} applies to
+    every element, for one element.  The network model restamps just
+    the elements a ledger change touched
+    ({!Netembed_service.Model.residual_snapshot}).
+    @raise Invalid_argument on an unknown target id. *)
+
 val residual_graph : ?base:Graph.t -> t -> Graph.t
-(** A copy of [base] (default: the ledger's graph) with every tracked
-    capacity attribute replaced by its residual value, on exactly the
-    elements that declared it.  All other attributes are preserved.
+(** A deep copy of [base] (default: the ledger's graph) with every
+    tracked capacity attribute replaced by its residual value, on
+    exactly the elements that declared it.  All other attributes are
+    preserved.  O(graph): the CLI's offline residual export and the
+    reference the model's incremental residual versions are tested
+    against — the service never calls it.
     @raise Invalid_argument if [base] has different node/edge counts. *)
 
 val sync_residual : t -> Graph.t -> unit

@@ -4,15 +4,12 @@ module Graph = Netembed_graph.Graph
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 
-type entry = {
-  filter : Filter.t;
-  compiled : Problem.compiled;
-  mutable last_use : int;
-}
+type entry = { host : Graph.t; filter : Filter.t; compiled : Problem.compiled }
+type slot = { entry : entry; mutable last_use : int }
 
 type t = {
   capacity : int;
-  tbl : (int * string, entry) Hashtbl.t;
+  tbl : (string, slot) Hashtbl.t;
   mutable clock : int;
   mutable evictions : int;
   mutable invalidations : int;
@@ -39,7 +36,7 @@ let invalidations t = t.invalidations
    hit rate for safety: two requests only share a cache line when the
    build provably reads identical inputs, so a collision can never
    hand a request somebody else's filter.  The host side of the build
-   is keyed separately, by model revision. *)
+   is not in the key: each entry records the host version it matches. *)
 let value_sig buf (v : Value.t) =
   match v with
   | Value.Bool b -> Buffer.add_string buf (if b then "B1" else "B0")
@@ -86,21 +83,21 @@ let signature ~(query : Graph.t) ~constraint_text ~node_constraint_text =
 (* LRU mechanics                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let find t ~revision ~signature =
-  match Hashtbl.find_opt t.tbl (revision, signature) with
+let find t ~signature =
+  match Hashtbl.find_opt t.tbl signature with
   | None -> None
-  | Some e ->
+  | Some slot ->
       t.clock <- t.clock + 1;
-      e.last_use <- t.clock;
-      Some (e.filter, e.compiled)
+      slot.last_use <- t.clock;
+      Some slot.entry
 
 let evict_lru t =
   let worst = ref None in
   Hashtbl.iter
-    (fun k (e : entry) ->
+    (fun k slot ->
       match !worst with
-      | Some (_, age) when age <= e.last_use -> ()
-      | _ -> worst := Some (k, e.last_use))
+      | Some (_, age) when age <= slot.last_use -> ()
+      | _ -> worst := Some (k, slot.last_use))
     t.tbl;
   match !worst with
   | None -> ()
@@ -108,23 +105,15 @@ let evict_lru t =
       Hashtbl.remove t.tbl k;
       t.evictions <- t.evictions + 1
 
-let add t ~revision ~signature ~compiled filter =
-  if not (Hashtbl.mem t.tbl (revision, signature)) then begin
-    while Hashtbl.length t.tbl >= t.capacity do
-      evict_lru t
-    done;
-    t.clock <- t.clock + 1;
-    Hashtbl.replace t.tbl (revision, signature) { filter; compiled; last_use = t.clock }
-  end
-
-let invalidate t ~current_revision =
-  let stale =
-    Hashtbl.fold
-      (fun ((rev, _) as k) _ acc -> if rev <> current_revision then k :: acc else acc)
-      t.tbl []
-  in
-  List.iter
-    (fun k ->
-      Hashtbl.remove t.tbl k;
-      t.invalidations <- t.invalidations + 1)
-    stale
+let add t ~signature entry =
+  t.clock <- t.clock + 1;
+  match Hashtbl.find_opt t.tbl signature with
+  | Some slot when slot.entry.host == entry.host -> slot.last_use <- t.clock
+  | Some _ ->
+      Hashtbl.replace t.tbl signature { entry; last_use = t.clock };
+      t.invalidations <- t.invalidations + 1
+  | None ->
+      while Hashtbl.length t.tbl >= t.capacity do
+        evict_lru t
+      done;
+      Hashtbl.replace t.tbl signature { entry; last_use = t.clock }

@@ -4,30 +4,38 @@
     ECF/RWB request (the Amdahl bottleneck called out in
     {!Netembed_parallel}); repeated or templated queries — the service
     pattern the paper's interactive scenario implies — rebuild an
-    identical matrix every time.  This cache keys built filters by
-    [(model revision, query signature)] so a repeat skips the build
-    entirely.  Each entry also carries the problem's compiled-constraint
-    bundle ({!Netembed_core.Problem.compiled}), so a warm submit skips
-    bytecode compilation as well — observable as a flat
+    identical matrix every time.  This cache keys built filters by the
+    {b query signature} alone, and each entry records the {b host
+    version} its filter matches: the model's residual host is an
+    immutable, versioned graph ({!Model.residual_snapshot}), so a
+    version is identified by physical equality.  Each entry also carries
+    the problem's compiled-constraint bundle
+    ({!Netembed_core.Problem.compiled}), so a warm submit skips bytecode
+    compilation as well — observable as a flat
     [netembed_expr_compiles_total] counter across repeats.
 
-    Correctness rests on the key covering every input of the build:
+    Correctness rests on two facts:
 
-    - the {b model revision} stands in for the host side — the model
-      bumps it on every topology/attribute update, reservation and
-      ledger change, so any two requests at the same revision see the
-      same residual host graph;
     - the {b query signature} is an exact canonical serialization of
       the query topology, all node/edge attribute values and both
-      constraint texts (see {!signature}).  Exact-string equality means
-      a collision can never hand a request somebody else's filter —
-      worst case is a spurious miss, which only costs the build.
+      constraint texts (see {!signature}) — every query-side input of
+      the build.  Exact-string equality means a collision can never
+      hand a request somebody else's filter; worst case is a spurious
+      miss, which only costs the build;
+    - the {b host side} is the entry's version.  A hit at the same
+      version uses the filter as is.  A hit at a newer version
+      ({!Netembed_core.Filter.repair}) re-judges just the host elements
+      whose attributes differ between the two versions, which yields
+      exactly the filter a fresh build would; the service then stores
+      the repaired filter under the new version, replacing the old
+      entry (an {!invalidations}).
 
-    Entries from older revisions can never hit again; {!invalidate}
-    drops them eagerly so they do not occupy capacity.  Beyond
-    capacity, the least-recently-used entry is evicted.
+    So capacity churn — every ledger commit makes a new host version —
+    costs a repair proportional to what changed, not a rebuild.  Each
+    entry pins one host version's attribute tables.  Beyond capacity,
+    the least-recently-used entry is evicted.
 
-    Not thread-safe: the service serializes submits. *)
+    Not thread-safe: the service guards it with its cache lock. *)
 
 type t
 
@@ -43,30 +51,24 @@ val signature :
 (** Canonical serialization of the query-side inputs of a filter
     build.  Stable across processes (no hashing, no addresses). *)
 
-val find :
-  t ->
-  revision:int ->
-  signature:string ->
-  (Netembed_core.Filter.t * Netembed_core.Problem.compiled) option
-(** Cache lookup; a hit refreshes the entry's recency and returns both
-    the filter matrix and the compiled-constraint bundle, so a warm
-    submit skips the filter build {e and} the bytecode compilation
-    (fed back into {!Netembed_core.Problem.make} via [?compiled]). *)
+type entry = {
+  host : Netembed_graph.Graph.t;  (** the host version [filter] matches *)
+  filter : Netembed_core.Filter.t;
+  compiled : Netembed_core.Problem.compiled;
+}
 
-val add :
-  t ->
-  revision:int ->
-  signature:string ->
-  compiled:Netembed_core.Problem.compiled ->
-  Netembed_core.Filter.t ->
-  unit
-(** Insert a freshly built filter together with the problem's compiled
-    programs, evicting LRU entries as needed.  No-op if the key is
-    already present. *)
+val find : t -> signature:string -> entry option
+(** Cache lookup; a hit refreshes the entry's recency.  The caller
+    compares [host] with its own host version: the same version uses
+    [filter] as is, another one repairs it
+    ({!Netembed_core.Filter.repair}).  [compiled] is fed back into
+    {!Netembed_core.Problem.make} via [?compiled] either way. *)
 
-val invalidate : t -> current_revision:int -> unit
-(** Drop every entry whose revision differs from [current_revision] —
-    the model moved on, so they can never hit again. *)
+val add : t -> signature:string -> entry -> unit
+(** Insert an entry, evicting LRU entries as needed.  When the
+    signature is already cached at another host version, the entry is
+    replaced and the replacement counted in {!invalidations}; at the
+    same version the existing entry is kept (its recency refreshed). *)
 
 val length : t -> int
 val capacity : t -> int
@@ -75,4 +77,5 @@ val evictions : t -> int
 (** Entries dropped to capacity pressure (LRU), cumulative. *)
 
 val invalidations : t -> int
-(** Entries dropped because the model revision moved on, cumulative. *)
+(** Entries replaced by a filter for a newer host version (a repair),
+    cumulative. *)

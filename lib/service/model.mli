@@ -9,7 +9,18 @@
     tracking fractional capacity consumption
     ({!Netembed_ledger.Ledger}), and reservations — whole-node locks
     realized as the ledger's degenerate full-capacity charge (section
-    III component 3). *)
+    III component 3).
+
+    It also owns the {e residual host} the service searches: an
+    immutable, versioned {!Graph.t} in which every tracked capacity
+    reads as what is still free.  Every change — a monitor update, a
+    reservation or release, a ledger commit, release or migration —
+    makes a new version that shares the topology and pair index with
+    the previous one ({!Graph.derive}), copies only the attribute table
+    it touches, and restamps only the elements the change names.
+    Ledger changes must therefore go through this module's operations:
+    a change made directly on {!val-ledger} is not reflected in the
+    residual host until the elements it touched are next restamped. *)
 
 open Netembed_graph
 
@@ -26,15 +37,30 @@ val of_graphml_file : string -> t
 (** @raise Netembed_graphml.Graphml.Error on malformed input. *)
 
 val snapshot : t -> Graph.t
-(** The current hosting graph including reservation state.  Reserved
-    nodes carry the ["reserved"] boolean attribute; embedding queries
-    exclude them via the standard node filter used by {!Service}. *)
+(** The current hosting graph including reservation state, capacities
+    as declared.  Reserved nodes carry the ["reserved"] boolean
+    attribute; embedding queries exclude them via the standard node
+    filter used by {!Service}.  This is the model's live base graph,
+    updated in place by monitor updates and reservations: read it, do
+    not write it. *)
 
 val residual_snapshot : t -> Graph.t
 (** Like {!snapshot}, but every tracked capacity attribute is replaced
-    by its {e residual} value (capacity minus outstanding charges), so
-    a search against it prunes on what is actually free.  This is what
-    {!Service.submit} embeds against. *)
+    by its {e residual} value [max 0 (capacity - used)], so a search
+    against it prunes on what is actually free.  This is what
+    {!Service.submit} embeds against.
+
+    O(1) and allocation-free: changes made since the last call are
+    already written into a private draft version, which this call
+    freezes and publishes ({!Graph.freeze}).  The result is immutable —
+    it never changes after it is returned, so concurrent searches may
+    read it without a lock, and two calls return the physically same
+    graph exactly when the model did not change in between.  A caller
+    that wants to modify it derives a private version first
+    ({!Graph.derive}).  Attribute-equal to
+    [Ledger.residual_graph ~base:(snapshot t) (ledger t)].  Not
+    thread-safe on its own: the service calls it under its model
+    lock. *)
 
 val revision : t -> int
 (** Bumped on every update, reservation or ledger change. *)

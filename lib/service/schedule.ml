@@ -69,7 +69,7 @@ let earliest ?(algorithm = Engine.ECF) ?timeout t ~now ~duration ~query edge_con
     let busy = busy_in_window t ~start ~duration in
     (* Stamp availability and exclude busy nodes through the node
        constraint, so the search itself never proposes them. *)
-    let host = Graph.copy t.host in
+    let host = Graph.derive t.host in
     Graph.iter_nodes
       (fun v ->
         Graph.set_node_attrs host v

@@ -625,11 +625,17 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
       in
       (* Admission control: a query whose aggregate demand exceeds the
          total residual capacity cannot commit under any mapping —
-         reject it before paying for a search. *)
+         reject it before paying for a search.  The residual host the
+         search embeds against is read in the same critical section, so
+         admission, host version and revision describe one ledger state
+         (the read is a pointer load: the model publishes immutable
+         versions). *)
       match
         time_phase Telemetry.Phase.Admission (fun () ->
             with_model t (fun () ->
-                Ledger.admissible (Model.ledger t.model) ~query:request.Request.query))
+                match Ledger.admissible (Model.ledger t.model) ~query:request.Request.query with
+                | Error f -> Error f
+                | Ok () -> Ok (Model.residual_snapshot t.model, Model.revision t.model)))
       with
       | Error f ->
           with_state t (fun () ->
@@ -638,65 +644,42 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
           log_failure ~certificate:(admission_certificate t f) "admission"
             (Ledger.failure_to_string f);
           finish ~phases (Error ("admission: " ^ Ledger.failure_to_string f))
-      | Ok () -> (
-          (* Embed against residual capacities: co-located tenants have
-             already eaten into what constraints like
-             rSource.cpuMhz >= vSource.cpuMhz can see.  The snapshot is
-             ledger-side work, so it lands on the ledger_commit cell.
-             Snapshot and revision are read under one critical section
-             so a concurrent allocation cannot slip between them. *)
-          let host, revision =
-            time_phase Telemetry.Phase.Ledger_commit (fun () ->
-                with_model t (fun () ->
-                    (Model.residual_snapshot t.model, Model.revision t.model)))
-          in
+      | Ok (host, revision) -> (
           (* Cross-request filter cache: ECF/RWB requests key their
-             filter matrix on (model revision, query signature) and
-             skip the build — the dominant sequential phase — on a
-             repeat.  A hit also hands back the compiled-constraint
-             bundle, threaded into [Problem.make] below so a warm
-             submit skips specialization and bytecode compilation too.
-             A miss builds inside the engine as before (with blame, so
-             cold unsat requests still get full filter-phase
-             attribution) and the built filter + programs are stored
-             afterwards; LNS filters lazily and bypasses the cache. *)
-          let cache_key =
+             filter matrix on the query signature and skip the build —
+             the dominant sequential phase — on a repeat.  An entry
+             built against an older host version is repaired to this
+             one (below) rather than rebuilt.  A hit also hands back
+             the compiled-constraint bundle, threaded into
+             [Problem.make] so a warm submit skips specialization and
+             bytecode compilation too.  A miss builds inside the engine
+             as before (with blame, so cold unsat requests still get
+             full filter-phase attribution) and the built filter +
+             programs are stored afterwards; LNS filters lazily and
+             bypasses the cache.  Probe and counter bump are one
+             critical section, so hits + misses = lookups holds exactly
+             under concurrent submits. *)
+          let cache_key, cached =
             time_phase Telemetry.Phase.Cache_lookup (fun () ->
                 match request.Request.algorithm with
-                | Engine.LNS -> None
+                | Engine.LNS -> (None, None)
                 | Engine.ECF | Engine.RWB ->
-                    (* The signature serialization reads only the
-                       request; only the invalidation sweep needs the
-                       cache lock. *)
-                    with_cache t (fun () ->
-                        Filter_cache.invalidate t.filter_cache
-                          ~current_revision:revision);
-                    Some
-                      (Filter_cache.signature ~query:request.Request.query
-                         ~constraint_text:request.Request.constraint_text
-                         ~node_constraint_text:request.Request.node_constraint_text))
+                    let key =
+                      Filter_cache.signature ~query:request.Request.query
+                        ~constraint_text:request.Request.constraint_text
+                        ~node_constraint_text:request.Request.node_constraint_text
+                    in
+                    ( Some key,
+                      with_cache t (fun () ->
+                          match Filter_cache.find t.filter_cache ~signature:key with
+                          | Some hit ->
+                              Telemetry.Counter.incr t.cache_hits;
+                              Some hit
+                          | None ->
+                              Telemetry.Counter.incr t.cache_misses;
+                              None) ))
           in
-          (* Probe and counter bump are one critical section, so
-             hits + misses = lookups holds exactly under concurrent
-             submits. *)
-          let cache_hit =
-            time_phase Telemetry.Phase.Cache_lookup (fun () ->
-                match cache_key with
-                | None -> None
-                | Some key ->
-                    with_cache t (fun () ->
-                        match
-                          Filter_cache.find t.filter_cache ~revision ~signature:key
-                        with
-                        | Some hit ->
-                            Telemetry.Counter.incr t.cache_hits;
-                            Some hit
-                        | None ->
-                            Telemetry.Counter.incr t.cache_misses;
-                            None))
-          in
-          let cached_filter = Option.map fst cache_hit in
-          let compiled = Option.map snd cache_hit in
+          let compiled = Option.map (fun (e : Filter_cache.entry) -> e.compiled) cached in
           match
             Problem.make ~node_constraint ?compiled ~host
               ~query:request.Request.query edge_constraint
@@ -705,6 +688,23 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
               log_failure "error" m;
               finish ~phases (Error m)
           | problem ->
+              let cached_filter =
+                match (cache_key, cached) with
+                | Some key, Some e when e.Filter_cache.host != host ->
+                    let filter =
+                      time_phase Telemetry.Phase.Filter_build (fun () ->
+                          Telemetry.Trace.span_opt tbuf "filter_repair" (fun () ->
+                              Filter.repair e.Filter_cache.filter ~since:e.Filter_cache.host
+                                problem))
+                    in
+                    time_phase Telemetry.Phase.Cache_lookup (fun () ->
+                        with_cache t (fun () ->
+                            Filter_cache.add t.filter_cache ~signature:key
+                              { e with Filter_cache.host; filter }));
+                    Some filter
+                | _, Some e -> Some e.Filter_cache.filter
+                | _, None -> None
+              in
               let options =
                 {
                   Engine.default_options with
@@ -728,12 +728,16 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                       Engine.run ~options ?filter:cached_filter ?trace:tbuf
                         request.Request.algorithm problem)
               in
-              time_phase Telemetry.Phase.Ledger_commit (fun () ->
-                  match (cache_key, result.Engine.filter) with
-                  | Some key, Some f ->
+              time_phase Telemetry.Phase.Cache_lookup (fun () ->
+                  match (cache_key, cached, result.Engine.filter) with
+                  | Some key, None, Some filter ->
                       with_cache t (fun () ->
-                          Filter_cache.add t.filter_cache ~revision ~signature:key
-                            ~compiled:(Problem.compiled_programs problem) f)
+                          Filter_cache.add t.filter_cache ~signature:key
+                            {
+                              Filter_cache.host;
+                              filter;
+                              compiled = Problem.compiled_programs problem;
+                            })
                   | _ -> ());
               Log.debug (fun m ->
                   m "query %d nodes via %s: %d mapping(s), %s"
@@ -798,7 +802,9 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                         certificate = result.Engine.report;
                       }
                   end);
-              let revision = Model.revision t.model in
+              (* The answer carries the revision its host version was
+                 read at, not the one current now: a commit that landed
+                 during the search must make this answer stale. *)
               Telemetry.Gauge.set t.model_revision (float_of_int revision);
               finish ~phases:rp
                 (Ok { id; trace_id; request; result; model_revision = revision; trace = tbuf })))

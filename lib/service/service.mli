@@ -83,9 +83,11 @@ val create :
     unchanged.
 
     [filter_cache_capacity] (default 32) bounds the cross-request
-    filter cache ({!Filter_cache}): ECF/RWB requests whose (model
-    revision, query signature) was seen before skip the filter build
-    — the dominant sequential phase — and bump the hit counter.
+    filter cache ({!Filter_cache}): ECF/RWB requests whose query
+    signature was seen before skip the filter build — the dominant
+    sequential phase — and bump the hit counter; when the model changed
+    since the entry was built, the cached filter is repaired to the
+    current residual host instead ({!Netembed_core.Filter.repair}).
 
     The service also registers the request-latency decomposition: one
     [netembed_request_seconds{phase,window="60s"}] windowed summary per
@@ -146,7 +148,9 @@ type answer = {
 val submit :
   ?trace:bool -> ?queue_wait:float -> t -> Request.t -> (answer, string) result
 (** Run the request against the current {e residual} model snapshot
-    ({!Model.residual_snapshot}).  [Error] is returned for malformed
+    ({!Model.residual_snapshot}, read under the model lock together
+    with the admission check and the revision the answer records).
+    [Error] is returned for malformed
     constraint expressions, an impossible query (larger than the
     hosting network), or an admission rejection — when the query's
     aggregate capacity demand exceeds the network's total residual, no

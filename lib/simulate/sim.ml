@@ -472,7 +472,10 @@ let try_migrate st tenant =
   match Service.allocation_charge st.service tenant.t_alloc with
   | None -> false
   | Some charge -> (
-      let host = Model.residual_snapshot (Service.model st.service) in
+      (* The published snapshot is immutable and shared with every
+         reader of the model: credit the charge back on a private
+         version of it. *)
+      let host = Graph.derive (Model.residual_snapshot (Service.model st.service)) in
       credit_back host charge;
       let edge_ast =
         Lazy.force

@@ -475,6 +475,38 @@ let prop_churn_restores =
            (Ledger.utilization ledger)
       && Ledger.fragmentation_index ledger = 0.0)
 
+(* The pool sweeps run on every admission check and ledger change: what
+   they allocate must not grow with the host. *)
+let test_sweeps_allocation_free () =
+  let ring n =
+    let g = Graph.create () in
+    let node = Attrs.of_list [ ("cpuMhz", Value.Int 1000); ("memMB", Value.Int 1024) ] in
+    let edge = Attrs.of_list [ ("bandwidth", Value.Float 100.0) ] in
+    let v = Array.init n (fun _ -> Graph.add_node g node) in
+    for i = 0 to n - 1 do
+      ignore (Graph.add_edge g v.(i) v.((i + 1) mod n) edge)
+    done;
+    let ledger = Ledger.of_graph g in
+    ignore (Ledger.try_commit ledger [ line (Ledger.Node 0) "cpuMhz" 300.0 ]);
+    ledger
+  in
+  let q = query ~cpu:100.0 ~bw:5.0 in
+  let words ledger =
+    let measure f =
+      ignore (f ());
+      let before = Gc.minor_words () in
+      ignore (f ());
+      Gc.minor_words () -. before
+    in
+    ( measure (fun () -> Ledger.utilization ledger),
+      measure (fun () -> Ledger.fragmentation_index ledger),
+      measure (fun () -> Ledger.admissible ledger ~query:q) )
+  in
+  let u1, f1, a1 = words (ring 100) and u2, f2, a2 = words (ring 5000) in
+  check exact "utilization allocates per pool, not per element" u1 u2;
+  check exact "fragmentation allocates per pool, not per element" f1 f2;
+  check exact "admissible allocates per query element, not per host element" a1 a2
+
 let () =
   Alcotest.run "ledger"
     [
@@ -490,6 +522,7 @@ let () =
             test_migrate_reuses_own_capacity;
           Alcotest.test_case "migrate rollback" `Quick test_migrate_rollback;
           Alcotest.test_case "fragmentation" `Quick test_fragmentation;
+          Alcotest.test_case "sweeps allocation-free" `Quick test_sweeps_allocation_free;
           QCheck_alcotest.to_alcotest prop_release_restores;
           QCheck_alcotest.to_alcotest prop_churn_restores;
         ] );

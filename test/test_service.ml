@@ -595,14 +595,17 @@ let test_monitor_determinism () =
 module Filter_cache = Netembed_service.Filter_cache
 module Problem = Netembed_core.Problem
 
-let add_built cache ~revision ~signature query =
+let built ~host query =
   let p =
-    Problem.make ~host:(host ()) ~query
-      (Netembed_expr.Expr.parse_exn standard_constraint)
+    Problem.make ~host ~query (Netembed_expr.Expr.parse_exn standard_constraint)
   in
-  Filter_cache.add cache ~revision ~signature
-    ~compiled:(Problem.compiled_programs p)
-    (Netembed_core.Filter.build p)
+  (p, Netembed_core.Filter.build p)
+
+let add_built cache ~host ~signature query =
+  let p, filter = built ~host query in
+  Filter_cache.add cache ~signature
+    { Filter_cache.host; filter; compiled = Problem.compiled_programs p };
+  filter
 
 let sig_of ?node_constraint_text lo hi =
   Filter_cache.signature ~query:(path_query lo hi)
@@ -610,36 +613,69 @@ let sig_of ?node_constraint_text lo hi =
 
 let test_filter_cache_lru () =
   let cache = Filter_cache.create ~capacity:2 () in
+  let h = Model.residual_snapshot (Model.create (host ())) in
   let s1 = sig_of 5.0 15.0 and s2 = sig_of 5.0 25.0 and s3 = sig_of 15.0 25.0 in
   check Alcotest.bool "distinct signatures" true (s1 <> s2 && s2 <> s3 && s1 <> s3);
   check Alcotest.bool "miss on empty" true
-    (Filter_cache.find cache ~revision:1 ~signature:s1 = None);
-  add_built cache ~revision:1 ~signature:s1 (path_query 5.0 15.0);
-  add_built cache ~revision:1 ~signature:s2 (path_query 5.0 25.0);
+    (Filter_cache.find cache ~signature:s1 = None);
+  let f1 = add_built cache ~host:h ~signature:s1 (path_query 5.0 15.0) in
+  ignore (add_built cache ~host:h ~signature:s2 (path_query 5.0 25.0));
   check Alcotest.int "two entries" 2 (Filter_cache.length cache);
-  check Alcotest.bool "hit refreshes recency" true
-    (Filter_cache.find cache ~revision:1 ~signature:s1 <> None);
+  (match Filter_cache.find cache ~signature:s1 with
+  | Some e ->
+      check Alcotest.bool "hit returns the stored filter" true (e.Filter_cache.filter == f1);
+      check Alcotest.bool "hit names its host version" true (e.Filter_cache.host == h)
+  | None -> Alcotest.fail "hit refreshes recency: s1 missing");
   (* s1 was just touched, so inserting s3 at capacity evicts s2. *)
-  add_built cache ~revision:1 ~signature:s3 (path_query 15.0 25.0);
+  ignore (add_built cache ~host:h ~signature:s3 (path_query 15.0 25.0));
   check Alcotest.int "one eviction" 1 (Filter_cache.evictions cache);
   check Alcotest.bool "LRU entry gone" true
-    (Filter_cache.find cache ~revision:1 ~signature:s2 = None);
+    (Filter_cache.find cache ~signature:s2 = None);
   check Alcotest.bool "recent entry survives" true
-    (Filter_cache.find cache ~revision:1 ~signature:s1 <> None);
-  check Alcotest.bool "other revision misses" true
-    (Filter_cache.find cache ~revision:2 ~signature:s1 = None)
+    (Filter_cache.find cache ~signature:s1 <> None);
+  (* The key is the signature alone: a lookup from another host version
+     still finds the entry, which names the version it matches, so the
+     caller can tell it must repair rather than use it. *)
+  let m = Model.create (host ()) in
+  let other = Model.residual_snapshot m in
+  match Filter_cache.find cache ~signature:s1 with
+  | Some e ->
+      check Alcotest.bool "other version is not the entry's" true
+        (e.Filter_cache.host != other)
+  | None -> Alcotest.fail "entry lost"
 
 let test_filter_cache_invalidation () =
   let cache = Filter_cache.create () in
+  let model = Model.create (host ()) in
   let s = sig_of 5.0 15.0 in
-  add_built cache ~revision:3 ~signature:s (path_query 5.0 15.0);
-  (* Same revision: nothing to drop. *)
-  Filter_cache.invalidate cache ~current_revision:3;
-  check Alcotest.int "kept at same revision" 1 (Filter_cache.length cache);
-  Filter_cache.invalidate cache ~current_revision:4;
-  check Alcotest.int "dropped on revision bump" 0 (Filter_cache.length cache);
+  let h0 = Model.residual_snapshot model in
+  let f0 = add_built cache ~host:h0 ~signature:s (path_query 5.0 15.0) in
+  (* Same host version: nothing to replace. *)
+  ignore (add_built cache ~host:h0 ~signature:s (path_query 5.0 15.0));
+  check Alcotest.int "kept at same version" 1 (Filter_cache.length cache);
+  check Alcotest.int "no invalidation at same version" 0 (Filter_cache.invalidations cache);
+  (match Filter_cache.find cache ~signature:s with
+  | Some e -> check Alcotest.bool "first entry kept" true (e.Filter_cache.filter == f0)
+  | None -> Alcotest.fail "entry lost");
+  Model.update_edge_attrs model 0 (delay 99.0);
+  let h1 = Model.residual_snapshot model in
+  check Alcotest.bool "model update publishes a new version" true (h1 != h0);
+  (* The repaired filter for the new version replaces the old entry. *)
+  let p1, fresh = built ~host:h1 (path_query 5.0 15.0) in
+  let repaired = Netembed_core.Filter.repair f0 ~since:h0 p1 in
+  check Alcotest.bool "repair equals a fresh build" true
+    (Netembed_core.Filter.equal repaired fresh);
+  Filter_cache.add cache ~signature:s
+    { Filter_cache.host = h1; filter = repaired; compiled = Problem.compiled_programs p1 };
+  check Alcotest.int "replaced, not added" 1 (Filter_cache.length cache);
   check Alcotest.int "counted as invalidation" 1 (Filter_cache.invalidations cache);
-  check Alcotest.int "not as eviction" 0 (Filter_cache.evictions cache)
+  check Alcotest.int "not as eviction" 0 (Filter_cache.evictions cache);
+  match Filter_cache.find cache ~signature:s with
+  | Some e ->
+      check Alcotest.bool "entry now at the new version" true (e.Filter_cache.host == h1);
+      check Alcotest.bool "entry holds the repaired filter" true
+        (e.Filter_cache.filter == repaired)
+  | None -> Alcotest.fail "entry lost"
 
 let test_filter_cache_signature_sensitivity () =
   check Alcotest.string "deterministic" (sig_of 5.0 15.0) (sig_of 5.0 15.0);
