@@ -41,7 +41,7 @@ module Table = struct
   }
 
   let create () = { chunks = [||]; writable = [||]; spine_owned = true; len = 0 }
-  let get t i = Array.unsafe_get t.chunks.(i lsr bits) (i land mask)
+  let get t i = t.chunks.(i lsr bits).(i land mask)
 
   (* Construction only: the table is never shared while it grows. *)
   let push t x =
@@ -288,8 +288,6 @@ let derive t =
   }
 
 let freeze t = t.frozen <- true
-let is_frozen t = t.frozen
-let shares_topology a b = a.topo == b.topo
 
 let check_versions ctx a b =
   if a.topo != b.topo then invalid_arg (ctx ^ ": versions of different graphs")

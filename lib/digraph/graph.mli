@@ -11,12 +11,12 @@
     shares the topology (endpoints, adjacency, the pair index) and,
     copy-on-write, the attribute tables — an attribute write on either
     side copies the chunk of the table it touches, so two versions
-    never see each other's writes.  {!freeze} makes a version read-only, which is
-    how a version is published to concurrent readers: the network model
-    ({!Netembed_service.Model}) hands out frozen versions of its
-    residual host, and {!changed_nodes}/{!changed_edges} find the
-    elements whose attributes differ between two versions by physical
-    comparison.  A topology shared by two versions cannot grow:
+    never see each other's writes.  {!freeze} makes a version
+    read-only, which is how a version is published to concurrent
+    readers: the network model ({!Netembed_service.Model}) hands out
+    frozen versions of its residual host, and
+    {!changed_nodes}/{!changed_edges} find the elements whose
+    attributes differ between two versions by physical comparison.  A topology shared by two versions cannot grow:
     {!add_node} and {!add_edge} raise on it.
 
     Undirected graphs store each edge once; adjacency is maintained from
@@ -112,32 +112,6 @@ val edges : t -> (edge * node * node) array
 val copy : t -> t
 (** A deep copy: fresh topology and attribute tables. *)
 
-(** {1 Versions} *)
-
-val derive : t -> t
-(** A new, writable version of [t] in O(1), sharing its topology and
-    (copy-on-write) its attribute tables.  Afterwards neither [t] nor the
-    new version can grow.  Deriving never writes to a frozen [t], so
-    concurrent readers of a frozen version may derive from it. *)
-
-val freeze : t -> unit
-(** Make the graph read-only: every later [set_*] or [add_*] raises.
-    Irreversible. *)
-
-val is_frozen : t -> bool
-
-val shares_topology : t -> t -> bool
-(** Whether two graphs are versions of one topology ({!derive}). *)
-
-val changed_nodes : since:t -> t -> node list
-(** The nodes, ascending, whose attribute table in the second version
-    is not physically equal to the one in [since].  Chunks the two
-    versions share are skipped without looking at their elements.
-    @raise Invalid_argument unless the versions share their topology. *)
-
-val changed_edges : since:t -> t -> edge list
-(** As {!changed_nodes}, for edges. *)
-
 val induced_subgraph : t -> node array -> t * node array
 (** [induced_subgraph g sel] is the subgraph on the nodes of [sel]
     (attributes shared) together with the array mapping new node ids to
@@ -155,3 +129,24 @@ val density : t -> float
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line ["name: N nodes, M edges (undirected)"] summary. *)
+
+(** {1 Versions} *)
+
+val derive : t -> t
+(** A new, writable version of [t] in O(1), sharing its topology and
+    (copy-on-write) its attribute tables.  Afterwards neither [t] nor the
+    new version can grow.  Deriving never writes to a frozen [t], so
+    concurrent readers of a frozen version may derive from it. *)
+
+val freeze : t -> unit
+(** Make the graph read-only: every later [set_*] or [add_*] raises.
+    Irreversible. *)
+
+val changed_nodes : since:t -> t -> node list
+(** The nodes, ascending, whose attribute table in the second version
+    is not physically equal to the one in [since].  Chunks the two
+    versions share are skipped without looking at their elements.
+    @raise Invalid_argument unless the versions share their topology. *)
+
+val changed_edges : since:t -> t -> edge list
+(** As {!changed_nodes}, for edges. *)

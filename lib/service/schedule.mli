@@ -16,8 +16,11 @@
     degenerate full-capacity charge on the leased hosts
     ({!Netembed_ledger.Ledger.lock}), and the internal gc — run on each
     {!earliest} and {!release_expired} — credits those charges back the
-    moment a lease expires, so fractional tenants of the same model see
-    scheduled capacity come and go. *)
+    moment a lease expires, so fractional tenants charged against the
+    same ledger see scheduled capacity come and go.  Pass a ledger of
+    the scheduler's own, not a {!Model}'s: the model's residual host
+    follows only the changes made through the model
+    ({!Model.residual_snapshot}). *)
 
 open Netembed_graph
 

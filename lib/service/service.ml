@@ -633,9 +633,9 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
       match
         time_phase Telemetry.Phase.Admission (fun () ->
             with_model t (fun () ->
-                match Ledger.admissible (Model.ledger t.model) ~query:request.Request.query with
-                | Error f -> Error f
-                | Ok () -> Ok (Model.residual_snapshot t.model, Model.revision t.model)))
+                Ledger.admissible (Model.ledger t.model) ~query:request.Request.query
+                |> Result.map (fun () ->
+                       (Model.residual_snapshot t.model, Model.revision t.model))))
       with
       | Error f ->
           with_state t (fun () ->
