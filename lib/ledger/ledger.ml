@@ -476,7 +476,7 @@ let residual_graph ?base t =
     || Graph.edge_count base <> Graph.edge_count t.graph
   then invalid_arg "Ledger.residual_graph: base graph shape differs";
   let g = Graph.copy base in
-  let stamp pools set_attrs get_attrs =
+  let stamp_all pools set_attrs get_attrs =
     List.iter
       (fun p ->
         Array.iteri
@@ -487,8 +487,8 @@ let residual_graph ?base t =
           p.p_present)
       pools
   in
-  stamp t.node_pools (Graph.set_node_attrs g) (Graph.node_attrs g);
-  stamp t.edge_pools (Graph.set_edge_attrs g) (Graph.edge_attrs g);
+  stamp_all t.node_pools (Graph.set_node_attrs g) (Graph.node_attrs g);
+  stamp_all t.edge_pools (Graph.set_edge_attrs g) (Graph.edge_attrs g);
   g
 
 let sync_residual t g =
